@@ -101,8 +101,16 @@ class AuthCompactionListener(EventListener):
         )
 
     def on_compaction_finish(self, ctx: CompactionContext) -> None:
+        """Verify every input root, then install the output digest.
+
+        The output digester reuses the leaf hash and suffix digests of
+        any output chain that passed through byte-identical from an
+        untrusted input level: the enclave hashed exactly those bytes
+        while authenticating the input, and the output digest is only
+        installed once every input root has matched.
+        """
         # a) authenticate every untrusted input level.
-        """Verify every input root, then install the output digest."""
+        input_trees = []
         for level, digester in ctx.state["input_digesters"].items():
             tree = digester.finalize()
             trusted = self.registry.get(level)
@@ -113,8 +121,9 @@ class AuthCompactionListener(EventListener):
                 raise IntegrityViolation(
                     f"compaction input at level {level} failed authentication"
                 )
+            input_trees.append(tree)
         # b) the output digest takes effect; consumed inputs become empty.
-        output_tree = ctx.state["output_digester"].finalize()
+        output_tree = ctx.state["output_digester"].finalize(reuse=input_trees)
         for level in ctx.input_levels:
             if level != 0:
                 self.registry.clear(level)

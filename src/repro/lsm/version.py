@@ -187,10 +187,19 @@ class _RunCursor:
     def __init__(self, run: LevelRun, fetcher: BlockFetcher) -> None:
         self.run = run
         self.fetcher = fetcher
+        # The current block stays pinned (as a LevelDB block iterator
+        # pins its data block): moving within it fetches nothing.
+        self._pinned: tuple[int, int] | None = None
+        self._pinned_entries: list[Entry] = []
 
     def _block_entries(self, table: int, block: int) -> list[Entry]:
-        meta = self.run.tables[table]
-        return self.fetcher.read_block(meta, meta.handles[block]).entries
+        if self._pinned != (table, block):
+            meta = self.run.tables[table]
+            self._pinned_entries = self.fetcher.read_block(
+                meta, meta.handles[block]
+            ).entries
+            self._pinned = (table, block)
+        return self._pinned_entries
 
     def entry(self, position: _Position) -> Entry:
         table, block, index = position

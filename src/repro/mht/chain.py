@@ -47,11 +47,12 @@ def suffix_digests(encoded_newest_first: Sequence[bytes]) -> list[bytes | None]:
     ``result[j]`` is the digest of records ``j+1..m-1`` (``None`` for the
     oldest position) — exactly what gets embedded in record ``j``'s proof
     so that serving it requires no other disk reads.
+
+    The newest record is not hashed: the full-chain digest is
+    ``hash_chain_node(encoded[0], result[0])``.
     """
     encoded = list(encoded_newest_first)
     out: list[bytes | None] = [None] * len(encoded)
-    running: bytes | None = None
-    for j in range(len(encoded) - 1, -1, -1):
-        out[j] = running
-        running = hash_chain_node(encoded[j], running)
+    for j in range(len(encoded) - 1, 0, -1):
+        out[j - 1] = hash_chain_node(encoded[j], out[j])
     return out

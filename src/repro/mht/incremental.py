@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.cryptoprim.hashing import HASH_LEN, hash_leaf
-from repro.mht.chain import fold_chain, suffix_digests
+from repro.cryptoprim.hashing import HASH_LEN, hash_chain_node, hash_leaf
+from repro.mht.chain import suffix_digests
 from repro.mht.merkle import MerkleTree
 from repro.mht.range_proof import build_range_proof
 
@@ -121,22 +121,40 @@ class StreamingLevelDigester:
             self._current_key = key
         self._current_entries.append((ts, encoded))
         self.record_count += 1
-        self._charge(len(encoded) + HASH_LEN)
 
-    def finalize(self) -> LevelTree:
-        """Close the stream and build the tree."""
+    def finalize(self, reuse: Sequence[LevelTree] = ()) -> LevelTree:
+        """Close the stream and build the tree.
+
+        A group whose ``(ts, encoded)`` entries are byte-identical to a
+        group of one of the ``reuse`` trees (levels this enclave digested
+        earlier in the same compaction) takes that group's leaf hash and
+        suffix digests instead of hashing the chain again: both are pure
+        functions of the entries.  Each hash is charged where it is
+        computed, so skipped hashes are not charged.
+        """
         if self._finalized is None:
             self._flush_group()
-            leaves = []
-            for group in self._groups:
-                encoded = [e for _, e in group.entries]
-                group.suffixes = suffix_digests(encoded)
-                leaves.append(hash_leaf(fold_chain(encoded, None)))
-                self._charge(HASH_LEN)
+            leaves = [self._leaf(group, reuse) for group in self._groups]
             tree = MerkleTree(leaves)
-            self._charge(tree.hash_node_count() * 2 * HASH_LEN)
+            nodes = tree.hash_node_count()
+            if nodes:
+                self._charge(nodes * 2 * HASH_LEN)
             self._finalized = LevelTree(tree, self._groups)
         return self._finalized
+
+    def _leaf(self, group: ChainGroup, reuse: Sequence[LevelTree]) -> bytes:
+        """The group's Merkle leaf; fills in ``group.suffixes``."""
+        for level_tree in reuse:
+            _, source = level_tree.find(group.key)
+            if source is not None and source.entries == group.entries:
+                group.suffixes = source.suffixes
+                return level_tree.tree.leaf(source.leaf_index)
+        encoded = [e for _, e in group.entries]
+        group.suffixes = suffix_digests(encoded)
+        for record, older in zip(encoded, group.suffixes):
+            self._charge(len(record) + (HASH_LEN if older is not None else 0))
+        self._charge(HASH_LEN)
+        return hash_leaf(hash_chain_node(encoded[0], group.suffixes[0]))
 
     def _flush_group(self) -> None:
         if self._current_key is None:

@@ -78,8 +78,8 @@ class MerkleTree:
         return path
 
     def hash_node_count(self) -> int:
-        """Total nodes hashed to build the tree (for cost accounting)."""
-        return sum(len(level) for level in self._levels[1:])
+        """Internal nodes hashed to build the tree (promotions are free)."""
+        return sum(len(level) // 2 for level in self._levels[:-1])
 
 
 def compute_root(leaf_hash: bytes, index: int, n: int, path: list[bytes]) -> bytes:

@@ -46,6 +46,36 @@ def free_env() -> ExecutionEnv:
     return ExecutionEnv(clock, ZERO_COSTS, disk)
 
 
+@pytest.fixture
+def hashed_bytes(monkeypatch) -> list[int]:
+    """Bytes given to each real digest-building hash call, as it happens.
+
+    Counts the arguments of every chain-node, Merkle-leaf and
+    internal-node hash the level digesters make (tags and length
+    prefixes excluded), so tests can compare charged hash bytes with
+    the bytes really hashed.
+    """
+    import repro.mht.chain as chain_mod
+    import repro.mht.incremental as incremental_mod
+    import repro.mht.merkle as merkle_mod
+
+    hashed: list[int] = []
+    for module, name in (
+        (chain_mod, "hash_chain_node"),
+        (incremental_mod, "hash_chain_node"),
+        (incremental_mod, "hash_leaf"),
+        (merkle_mod, "hash_internal"),
+    ):
+        real = getattr(module, name)
+
+        def counting(*parts, _real=real):
+            hashed.append(sum(len(part or b"") for part in parts))
+            return _real(*parts)
+
+        monkeypatch.setattr(module, name, counting)
+    return hashed
+
+
 def make_p2_store(**overrides):
     """A tiny eLSM-P2 store that compacts quickly in tests."""
     from repro.core.store_p2 import ELSMP2Store

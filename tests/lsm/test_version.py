@@ -157,3 +157,24 @@ def test_empty_run(free_env):
     assert run.is_empty
     assert run.total_bytes == 0
     assert run.min_key is None
+
+
+class CountingFetcher:
+    def __init__(self, fetcher):
+        self.fetcher = fetcher
+        self.reads = 0
+
+    def read_block(self, meta, handle):
+        self.reads += 1
+        return self.fetcher.read_block(meta, handle)
+
+
+@pytest.mark.parametrize("files", [1, 2])
+def test_cursor_fetches_each_block_once_per_walk(free_env, files):
+    """The cursor pins its current block: stepping inside it fetches nothing."""
+    run = build_run(free_env, GROUPS, files=files, block_bytes=4096)
+    blocks = sum(len(meta.handles) for meta in run.tables)
+    fetcher = CountingFetcher(make_fetcher(free_env))
+    _, entries, _ = run.range_entries(fetcher, b"a", b"z")
+    assert len(entries) == 8
+    assert fetcher.reads == blocks

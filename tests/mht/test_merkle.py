@@ -117,3 +117,5 @@ def test_random_tree_paths_verify(n, data):
 def test_hash_node_count():
     # 4 leaves: 2 internal at level 1 + 1 root = 3
     assert MerkleTree(leaves(4)).hash_node_count() == 3
+    # 5 leaves: 2 + 1 + 1 hashed; the promoted odd nodes cost nothing
+    assert MerkleTree(leaves(5)).hash_node_count() == 4
