@@ -37,11 +37,11 @@ def boundary_experiment(ops: int) -> ExperimentResult:
         ("eLSM-P1", ELSMP1Store(scale=scale, name_prefix="ad-p1")),
     ):
         load_phase(store, CoreWorkload(spec, n, seed=1))
-        boundary = store.env.boundary
-        ecalls, ocalls = boundary.ecall_count, boundary.ocall_count
+        before = store.report()
         run_phase(store, CoreWorkload(spec, n, seed=7), ops)
-        d_ecalls = (boundary.ecall_count - ecalls) / ops
-        d_ocalls = (boundary.ocall_count - ocalls) / ops
+        after = store.report()
+        d_ecalls = (after["ecalls"] - before["ecalls"]) / ops
+        d_ocalls = (after["ocalls"] - before["ocalls"]) / ops
         result.add_row(name, d_ecalls, d_ocalls, d_ecalls + d_ocalls)
     result.add_row("code-outside (floor)", 0.0, 1.0, 1.0)
     return result

@@ -33,13 +33,15 @@ def proof_size_experiment() -> ExperimentResult:
         store.flush()
         loaded = n
         samples = 300
-        before = store.total_proof_bytes
+        served = 0
         hits = 0
         for probe in range(samples):
             index = (probe * 7919) % n
-            if store.get_verified(loader.key(index)).proof_bytes > 0:
+            proof_bytes = store.get_verified(loader.key(index)).proof_bytes
+            served += proof_bytes
+            if proof_bytes > 0:
                 hits += 1
-        mean_bytes = (store.total_proof_bytes - before) / max(1, hits)
+        mean_bytes = served / max(1, hits)
         import math
 
         result.add_row(

@@ -63,7 +63,7 @@ def main() -> None:
             ledger.put(account(party), encode_balance(balances[party], nonces[party]))
     ledger.flush()
     print(f"applied transfers; store spans levels {ledger.db.level_indices()}, "
-          f"write amplification {ledger.db.stats.write_amplification():.1f}x")
+          f"write amplification {ledger.db.write_amplification():.1f}x")
 
     print("\n== SPV client: verified balance lookups ==")
     probe = rng.randrange(500)

@@ -54,9 +54,9 @@ def main() -> None:
         print(row)
 
     p2 = systems["eLSM-P2-mmap"]
-    print(f"\neLSM-P2 proof bytes served: {p2.total_proof_bytes}")
+    print(f"\neLSM-P2 proof bytes served: {p2.report()['proof_bytes_total']}")
     print(f"eLSM-P2 verified GETs: {p2.verifier.verified_gets}")
-    print(f"write amplification: {p2.db.stats.write_amplification():.1f}x")
+    print(f"write amplification: {p2.db.write_amplification():.1f}x")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.scale import GB, ScaleConfig
+from repro.telemetry import Telemetry
 
 _REGION = "eleos_array"
 
@@ -59,9 +60,10 @@ class EleosStore:
             raise ValueError("slack must be in (0, 1)")
         self.scale = scale or ScaleConfig()
         self.costs = costs
-        self.clock = clock or SimClock()
+        self.clock = clock = clock or SimClock()
         self.disk = disk or SimDisk(self.clock, costs, cache_bytes=self.scale.ram_bytes)
-        self.boundary = WorldBoundary(self.clock, costs)
+        self.telemetry = Telemetry(clock=lambda: clock.now_us)
+        self.boundary = WorldBoundary(clock, costs, self.telemetry)
         # Eleos's user-space paging: same residency model as the EPC, but
         # each miss costs a software relocation instead of an EWB cycle.
         self.pager = EpcPager(

@@ -22,6 +22,7 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.scale import MB, ScaleConfig
+from repro.telemetry import Telemetry
 
 
 class UnsecuredLSMStore:
@@ -45,7 +46,7 @@ class UnsecuredLSMStore:
     ) -> None:
         self.scale = scale or ScaleConfig()
         self.costs = costs
-        self.clock = clock or SimClock()
+        self.clock = clock = clock or SimClock()
         self.disk = disk or SimDisk(
             self.clock, costs, cache_bytes=self.scale.ram_bytes
         )
@@ -55,7 +56,9 @@ class UnsecuredLSMStore:
             else None
         )
         self.enclave = enclave
-        self.env = ExecutionEnv(self.clock, costs, self.disk, enclave=enclave)
+        self.env = ExecutionEnv(
+            clock, costs, self.disk, Telemetry(clock=lambda: clock.now_us), enclave=enclave
+        )
         lsm_config = LSMConfig(
             write_buffer_bytes=write_buffer_bytes
             or max(self.scale.scale_bytes(4 * MB), 8 * 1024),

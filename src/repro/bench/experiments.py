@@ -506,7 +506,7 @@ class _OutsideEnclaveWriter:
 
         self.inner = inner
         self.clock = inner.clock
-        self.boundary = WorldBoundary(inner.clock, inner.costs)
+        self.boundary = WorldBoundary(inner.clock, inner.costs, inner.telemetry)
 
     def put(self, key: bytes, value: bytes) -> int:
         with self.boundary.ocall("put", in_bytes=len(key) + len(value)):
@@ -720,9 +720,9 @@ def ablation_early_stop(ops: int = RUN_OPS) -> ExperimentResult:
         notes=["early stop is eLSM's distinction vs Speicher (Section 7)"],
     )
     for name, store in stores.items():
-        before_bytes = store.total_proof_bytes
+        before_bytes = store.report()["proof_bytes_total"]
         lat = _mean(store, spec, n, ops)
-        proof_per_op = (store.total_proof_bytes - before_bytes) / ops
+        proof_per_op = (store.report()["proof_bytes_total"] - before_bytes) / ops
         result.add_row(name, lat, proof_per_op)
     return result
 

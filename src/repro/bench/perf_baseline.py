@@ -71,7 +71,7 @@ def run_perf_baseline(quick: bool = False) -> dict:
     start = batch_store.clock.now_us
     batched = batch_store.multi_get_verified(keys)
     batch_us = batch_store.clock.now_us - start
-    cache = batch_store.verifier.node_cache
+    metrics = batch_store.telemetry.metrics
 
     identical = [v.value for v in sequential] == batched.values
     return {
@@ -87,9 +87,10 @@ def run_perf_baseline(quick: bool = False) -> dict:
             sequential_bytes, batched.proof_bytes
         ),
         "identical_results": identical,
-        "node_cache": {"hits": cache.hits, "misses": cache.misses}
-        if cache is not None
-        else {},
+        "node_cache": {
+            "hits": int(metrics.counter("verifier.cache.hit").total()),
+            "misses": int(metrics.counter("verifier.cache.miss").total()),
+        },
     }
 
 

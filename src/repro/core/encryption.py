@@ -23,12 +23,7 @@ MODE_ORDER_PRESERVING = "ope"
 class KeyValueCodec:
     """Encodes keys/values on the way in, decodes on the way out."""
 
-    def __init__(
-        self,
-        mode: str = MODE_PLAIN,
-        secret: bytes = b"",
-        key_width: int = 16,
-    ) -> None:
+    def __init__(self, mode: str = MODE_PLAIN, secret: bytes = b"") -> None:
         if mode not in (MODE_PLAIN, MODE_DETERMINISTIC, MODE_ORDER_PRESERVING):
             raise ValueError(f"unknown encryption mode: {mode}")
         if mode != MODE_PLAIN and len(secret) < 16:
@@ -38,9 +33,7 @@ class KeyValueCodec:
             DeterministicCipher(secret) if mode == MODE_DETERMINISTIC else None
         )
         self._ope = (
-            OrderPreservingEncoder(secret, key_width=key_width)
-            if mode == MODE_ORDER_PRESERVING
-            else None
+            OrderPreservingEncoder(secret) if mode == MODE_ORDER_PRESERVING else None
         )
         self._values = ValueCipher(secret) if mode != MODE_PLAIN else None
 

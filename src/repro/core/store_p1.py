@@ -21,6 +21,7 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.scale import MB, ScaleConfig
+from repro.telemetry import Telemetry
 
 
 class ELSMP1Store:
@@ -50,14 +51,16 @@ class ELSMP1Store:
     ) -> None:
         self.scale = scale or ScaleConfig()
         self.costs = costs
-        self.clock = clock or SimClock()
+        self.clock = clock = clock or SimClock()
         self.disk = disk or SimDisk(
             self.clock, costs, cache_bytes=self.scale.ram_bytes
         )
         self.enclave = Enclave(
             self.clock, costs, self.scale.epc_bytes, name="elsm-p1"
         )
-        self.env = ExecutionEnv(self.clock, costs, self.disk, enclave=self.enclave)
+        self.env = ExecutionEnv(
+            clock, costs, self.disk, Telemetry(clock=lambda: clock.now_us), enclave=self.enclave
+        )
         self.telemetry = self.env.telemetry
 
         lsm_config = LSMConfig(
@@ -187,14 +190,13 @@ class ELSMP1Store:
             "ocalls": int(metrics.counter("enclave.ocalls", labels=("call",)).total()),
             "flushes": self.db.stats.flushes,
             "compactions": self.db.stats.compactions,
-            "write_amplification": self.db.stats.write_amplification(),
+            "write_amplification": self.db.write_amplification(),
             "wal_appends": int(metrics.counter("wal.appends").total()),
-            "cache_hits": int(
-                metrics.counter("cache.hits", labels=("region",)).total()
-            ),
-            "cache_misses": int(
-                metrics.counter("cache.misses", labels=("region",)).total()
-            ),
+            # Store-side block caches plus the device's page cache.
+            "cache_hits": self.disk.cache_hit_blocks
+            + int(metrics.counter("cache.hits", labels=("region",)).total()),
+            "cache_misses": self.disk.cache_miss_blocks
+            + int(metrics.counter("cache.misses", labels=("region",)).total()),
             "disk_bytes": self.disk.total_bytes(),
             "simulated_us": self.clock.now_us,
             "cost_breakdown_us": self.clock.breakdown(),

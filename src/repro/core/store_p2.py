@@ -55,6 +55,7 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.scale import MB, ScaleConfig
+from repro.telemetry import Telemetry
 from repro.telemetry.metrics import SIZE_BUCKETS_BYTES
 
 
@@ -109,15 +110,11 @@ class ELSMP2Store:
         bloom_bits_per_key: int = 10,
         use_bloom: bool = True,
         salted_bloom: bool = True,
-        admission_rate_per_s: float | None = None,
-        admission_burst: float | None = None,
-        admission_proof_bytes_per_token: int = 4096,
         compaction: bool = True,
         keep_versions: bool = True,
         compression: bool = False,
         encryption_mode: str = MODE_PLAIN,
         secret: bytes = b"",
-        encryption_key_width: int = 16,
         rollback_protection: bool = False,
         counter_buffer_ops: int = 64,
         counter_slack: int = 0,
@@ -132,12 +129,14 @@ class ELSMP2Store:
     ) -> None:
         self.scale = scale or ScaleConfig()
         self.costs = costs
-        self.clock = clock or SimClock()
+        self.clock = clock = clock or SimClock()
         self.disk = disk or SimDisk(
             self.clock, costs, cache_bytes=self.scale.ram_bytes
         )
         self.enclave = Enclave(self.clock, costs, self.scale.epc_bytes)
-        self.env = ExecutionEnv(self.clock, costs, self.disk, enclave=self.enclave)
+        self.env = ExecutionEnv(
+            clock, costs, self.disk, Telemetry(clock=lambda: clock.now_us), enclave=self.enclave
+        )
         self.telemetry = self.env.telemetry
         self._m_proof_get_bytes = self.telemetry.histogram(
             "proof.get.bytes",
@@ -164,6 +163,8 @@ class ELSMP2Store:
             "proof.verify.hash_invocations",
             "trusted hashes spent verifying query proofs",
         )
+        # The env's own instrument (get-or-create by name), looked up once.
+        self._m_hash_calls = self.telemetry.counter("enclave.hash.invocations")
         # Shared with LSMStore (get-or-create by name): the P2 proof
         # path consults filters through _trusted_absence, not through
         # db.get_with_level, so it keeps the same books itself.
@@ -186,9 +187,7 @@ class ELSMP2Store:
         self.listener = AuthCompactionListener(
             self.registry, self.env, embed_proofs=(proof_mode == "embedded")
         )
-        self.codec = KeyValueCodec(
-            encryption_mode, secret, key_width=encryption_key_width
-        )
+        self.codec = KeyValueCodec(encryption_mode, secret)
 
         # Keyed Bloom hashing: the master salt comes from enclave
         # randomness, so the attacker outside cannot precompute
@@ -229,15 +228,9 @@ class ELSMP2Store:
             name_prefix=name_prefix,
             reopen=reopen,
         )
-        # Token-bucket admission control at the ECall boundary (off by
-        # default; the adversarial defense stack turns it on).
+        # Token-bucket admission control at the ECall boundary (off until
+        # enable_admission; the adversarial defense stack turns it on).
         self.admission: AdmissionController | None = None
-        if admission_rate_per_s is not None:
-            self.enable_admission(
-                admission_rate_per_s,
-                burst=admission_burst,
-                proof_bytes_per_token=admission_proof_bytes_per_token,
-            )
         self._client = "default"
         prover_cls = Prover if proof_mode == "embedded" else OnDemandProver
         self.prover = prover_cls(self.db)
@@ -257,7 +250,6 @@ class ELSMP2Store:
         self._ts = 0
         # The in-enclave mutex guarding concurrent operations (5.5.2).
         self._op_lock = threading.RLock()
-        self.total_proof_bytes = 0
 
         self._m_recovery_dropped_bytes = self.telemetry.counter(
             "wal.recovery.dropped_bytes",
@@ -551,17 +543,11 @@ class ELSMP2Store:
             # The proof is assembled in untrusted memory and copied
             # into the enclave before verification.
             self.env.copy_in(proof_bytes)
-            hashes_before = self.env.telemetry.counter(
-                "enclave.hash.invocations"
-            ).total()
+            hashes_before = self._m_hash_calls.total()
             record = self.verifier.verify_get(
                 stored_key, tsq, proof, trusted_absence=self._trusted_absence
             )
-            self._m_verify_hashes.inc(
-                self.env.telemetry.counter("enclave.hash.invocations").total()
-                - hashes_before
-            )
-            self.total_proof_bytes += proof_bytes
+            self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
             self.telemetry.charge_resource("proof.bytes", proof_bytes)
             self._charge_proof_work(proof_bytes)
             if record is None:
@@ -673,20 +659,14 @@ class ELSMP2Store:
                 proof_bytes = proof.size_bytes()
                 # One bulk copy of the batch proof into the enclave.
                 self.env.copy_in(proof_bytes)
-                hashes_before = self.env.telemetry.counter(
-                    "enclave.hash.invocations"
-                ).total()
+                hashes_before = self._m_hash_calls.total()
                 verified = self.verifier.verify_multi_get(
                     need, tsq, proof, trusted_absence=self._trusted_absence
                 )
-                self._m_verify_hashes.inc(
-                    self.env.telemetry.counter("enclave.hash.invocations").total()
-                    - hashes_before
-                )
+                self._m_verify_hashes.inc(self._m_hash_calls.total() - hashes_before)
                 by_key: dict[bytes, Record | None] = dict(zip(need, verified))
                 by_key.update(memtable_hits)
                 records = [by_key.get(sk) for sk in stored]
-                self.total_proof_bytes += proof_bytes
                 self.telemetry.charge_resource("proof.bytes", proof_bytes)
                 self._charge_proof_work(proof_bytes)
                 self._charge_negative(
@@ -780,7 +760,6 @@ class ELSMP2Store:
             )
             scan_proof_bytes = proof.size_bytes()
             self._m_proof_scan_bytes.observe(scan_proof_bytes)
-            self.total_proof_bytes += scan_proof_bytes
             self.telemetry.charge_resource("proof.bytes", scan_proof_bytes)
             self._charge_proof_work(scan_proof_bytes)
             span.set(result_count=len(records), proof_bytes=scan_proof_bytes)
@@ -875,33 +854,28 @@ class ELSMP2Store:
             "bytes_compacted": int(
                 metrics.counter("lsm.compaction.bytes").total()
             ),
-            "user_bytes_written": self.db.stats.user_bytes_written,
-            "write_amplification": self.db.stats.write_amplification(),
+            "user_bytes_written": int(metrics.counter("lsm.user.bytes").total()),
+            "write_amplification": self.db.write_amplification(),
             "wal_appends": int(metrics.counter("wal.appends").total()),
             "wal_bytes": int(metrics.counter("wal.bytes").total()),
-            "cache_hits": int(
-                metrics.counter("cache.hits", labels=("region",)).total()
-            ),
-            "cache_misses": int(
-                metrics.counter("cache.misses", labels=("region",)).total()
-            ),
+            # Store-side block caches plus the device's page cache.
+            "cache_hits": self.disk.cache_hit_blocks
+            + int(metrics.counter("cache.hits", labels=("region",)).total()),
+            "cache_misses": self.disk.cache_miss_blocks
+            + int(metrics.counter("cache.misses", labels=("region",)).total()),
             "hash_invocations": int(
                 metrics.counter("enclave.hash.invocations").total()
             ),
             "verified_gets": self.verifier.verified_gets,
             "verified_multi_gets": self.verifier.verified_multi_gets,
             "verified_scans": self.verifier.verified_scans,
-            "verifier_cache_hits": (
-                self.verifier.node_cache.hits
-                if self.verifier.node_cache is not None
-                else 0
+            "verifier_cache_hits": int(metrics.counter("verifier.cache.hit").total()),
+            "verifier_cache_misses": int(metrics.counter("verifier.cache.miss").total()),
+            "proof_bytes_total": int(
+                self._m_proof_get_bytes.sum()
+                + self._m_proof_multiget_bytes.sum()
+                + self._m_proof_scan_bytes.sum()
             ),
-            "verifier_cache_misses": (
-                self.verifier.node_cache.misses
-                if self.verifier.node_cache is not None
-                else 0
-            ),
-            "proof_bytes_total": self.total_proof_bytes,
             "proof_get_bytes_mean": self._m_proof_get_bytes.mean(),
             "disk_bytes": self.disk.total_bytes(),
             "simulated_us": self.clock.now_us,

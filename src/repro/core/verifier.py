@@ -49,6 +49,7 @@ from repro.mht.chain import fold_chain
 from repro.mht.merkle import ProofError
 from repro.mht.range_proof import compute_root_from_range
 from repro.sgx.env import ExecutionEnv
+from repro.telemetry import Telemetry
 
 #: Callback the store provides so the verifier can validate skipped
 #: levels against trusted metadata (Bloom filters) it does not own.
@@ -77,27 +78,22 @@ class VerifiedNodeCache:
     compaction, and recovery all change roots).
     """
 
-    def __init__(self, capacity: int = 4096, telemetry=None) -> None:
+    def __init__(self, capacity: int, telemetry: Telemetry) -> None:
         self.capacity = max(1, capacity)
         self._entries: OrderedDict[_NodeKey, bytes] = OrderedDict()
         self._by_root: dict[bytes, set[_NodeKey]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._m_hit = self._m_miss = self._m_evict = None
         self._telemetry = telemetry
-        if telemetry is not None:
-            self._m_hit = telemetry.counter(
-                "verifier.cache.hit", "verified-node cache probe hits"
-            )
-            self._m_miss = telemetry.counter(
-                "verifier.cache.miss", "verified-node cache probe misses"
-            )
-            self._m_evict = telemetry.counter(
-                "verifier.cache.evict",
-                "verified-node cache entries dropped",
-                labels=("reason",),
-            )
+        self._m_hit = telemetry.counter(
+            "verifier.cache.hit", "verified-node cache probe hits"
+        )
+        self._m_miss = telemetry.counter(
+            "verifier.cache.miss", "verified-node cache probe misses"
+        )
+        self._m_evict = telemetry.counter(
+            "verifier.cache.evict",
+            "verified-node cache entries dropped",
+            labels=("reason",),
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,14 +107,10 @@ class VerifiedNodeCache:
         key = (root, tree_level, index)
         node = self._entries.get(key)
         if node is None:
-            self.misses += 1
-            if self._m_miss is not None:
-                self._m_miss.inc()
+            self._m_miss.inc()
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
-        if self._m_hit is not None:
-            self._m_hit.inc()
+        self._m_hit.inc()
         return node
 
     def insert(self, root: bytes, tree_level: int, index: int, node: bytes) -> None:
@@ -132,25 +124,19 @@ class VerifiedNodeCache:
         while len(self._entries) > self.capacity:
             evicted, _ = self._entries.popitem(last=False)
             self._unindex(evicted)
-            self.evictions += 1
-            if self._m_evict is not None:
-                self._m_evict.inc(reason="capacity")
+            self._m_evict.inc(reason="capacity")
 
     def invalidate_root(self, root: bytes) -> None:
         """Drop every entry anchored to a root that left the registry."""
-        invalidated = 0
-        for key in self._by_root.pop(root, ()):
+        keys = self._by_root.pop(root, ())
+        if not keys:
+            return
+        for key in keys:
             del self._entries[key]
-            self.evictions += 1
-            invalidated += 1
-            if self._m_evict is not None:
-                self._m_evict.inc(reason="root-change")
-        if invalidated and self._telemetry is not None:
-            self._telemetry.emit(
-                "verifier.cache.invalidated",
-                root=root.hex()[:16],
-                entries=invalidated,
-            )
+        self._m_evict.inc(len(keys), reason="root-change")
+        self._telemetry.emit(
+            "verifier.cache.invalidated", root=root.hex()[:16], entries=len(keys)
+        )
 
     def _unindex(self, key: _NodeKey) -> None:
         resident = self._by_root.get(key[0])
@@ -198,7 +184,7 @@ class Verifier:
         if node_cache_entries > 0:
             self.node_cache = VerifiedNodeCache(
                 node_cache_entries,
-                telemetry=env.telemetry if env is not None else None,
+                env.telemetry if env is not None else Telemetry(),
             )
             if hasattr(registry, "on_root_change"):
                 registry.on_root_change(self._on_root_change)

@@ -53,8 +53,6 @@ class ReadBuffer:
         self._by_file: dict[str, set[tuple[str, int]]] = {}
         self._free_slots: list[int] = []
         self._next_slot = 0
-        self.hits = 0
-        self.misses = 0
         self._m_hits = env.telemetry.counter(
             "cache.hits", "read-buffer block hits", labels=("region",)
         )
@@ -69,10 +67,8 @@ class ReadBuffer:
         """Look up a block; charges the access cost of wherever it lives."""
         found = self._entries.get(key)
         if found is None:
-            self.misses += 1
             self._m_misses.inc(region=self.region)
             return None
-        self.hits += 1
         self._m_hits.inc(region=self.region)
         block, slot = found
         self._entries.move_to_end(key)

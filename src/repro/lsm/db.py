@@ -122,15 +122,6 @@ class GetResult:
 class StoreStats:
     flushes: int = 0
     compactions: int = 0
-    bytes_flushed: int = 0
-    bytes_compacted: int = 0
-    user_bytes_written: int = 0
-
-    def write_amplification(self) -> float:
-        """Bytes written to disk per user byte accepted."""
-        if self.user_bytes_written == 0:
-            return 0.0
-        return (self.bytes_flushed + self.bytes_compacted) / self.user_bytes_written
 
 
 class LSMStore:
@@ -315,7 +306,6 @@ class LSMStore:
                         self.wal.append(record)
                     self.memtable.add(record)
                     nbytes = record.approximate_bytes()
-                    self.stats.user_bytes_written += nbytes
                     self._m_user_bytes.inc(nbytes)
                     self.env.meta_grow(_MEMTABLE_REGION, nbytes)
                     self._touch_memtable(record.key, nbytes, write=True)
@@ -363,7 +353,6 @@ class LSMStore:
                 for record in records:
                     self.memtable.add(record)
                     nbytes = record.approximate_bytes()
-                    self.stats.user_bytes_written += nbytes
                     self._m_user_bytes.inc(nbytes)
                     self.env.meta_grow(_MEMTABLE_REGION, nbytes)
                     self._touch_memtable(record.key, nbytes, write=True)
@@ -631,6 +620,13 @@ class LSMStore:
             self.mem_bytes()
         )
 
+    def write_amplification(self) -> float:
+        """SSTable bytes written (flush + compaction) per user byte accepted."""
+        user_bytes = self._m_user_bytes.value()
+        if user_bytes == 0:
+            return 0.0
+        return (self._m_flush_bytes.value() + self._m_compact_bytes.value()) / user_bytes
+
     def resize_read_buffer(self, capacity_bytes: int) -> None:
         """Swap in a fresh read buffer of a new capacity.
 
@@ -674,7 +670,6 @@ class LSMStore:
             self.wal.append(record)
         self.memtable.add(record)
         nbytes = record.approximate_bytes()
-        self.stats.user_bytes_written += nbytes
         self._m_user_bytes.inc(nbytes)
         self.env.meta_grow(_MEMTABLE_REGION, nbytes)
         self._touch_memtable(record.key, nbytes, write=True)
@@ -987,9 +982,7 @@ class LSMStore:
             is_bottom_level=self._is_bottom(1),
         )
         metas = self._compactor.run(ctx, sources, self._next_file)
-        flushed = sum(m.size_bytes for m in metas)
-        self.stats.bytes_flushed += flushed
-        self._m_flush_bytes.inc(flushed)
+        self._m_flush_bytes.inc(sum(m.size_bytes for m in metas))
         self._install_run(1, metas, replaced=[1] if existing else [])
 
     def _flush_stacking(self, source: list[Entry] | None = None) -> None:
@@ -1008,9 +1001,7 @@ class LSMStore:
         for listener in self.listeners:
             listener.on_level_inserted(1)
         metas = self._compactor.run(ctx, [(0, source)], self._next_file)
-        flushed = sum(m.size_bytes for m in metas)
-        self.stats.bytes_flushed += flushed
-        self._m_flush_bytes.inc(flushed)
+        self._m_flush_bytes.inc(sum(m.size_bytes for m in metas))
         self._install_run(1, metas, replaced=[])
 
     def compact_level(self, level: int) -> None:
@@ -1019,40 +1010,7 @@ class LSMStore:
             source = self._levels.get(level)
             if source is None or source.is_empty:
                 return
-            target = self._levels.get(level + 1)
-            sources: list[tuple[int, Iterable[Entry]]] = [
-                (level, source.iter_entries(self.env))
-            ]
-            input_levels = [level]
-            if target is not None and not target.is_empty:
-                sources.append((level + 1, target.iter_entries(self.env)))
-                input_levels.append(level + 1)
-            ctx = CompactionContext(
-                kind="compaction",
-                input_levels=input_levels,
-                output_level=level + 1,
-                is_bottom_level=self._is_bottom(level + 1),
-            )
-            with self._tracer.span(
-                "lsm.compaction",
-                input_levels=list(input_levels),
-                output_level=level + 1,
-            ) as span:
-                metas = self._compactor.run(ctx, sources, self._next_file)
-                compacted = sum(m.size_bytes for m in metas)
-                span.set(output_bytes=compacted, output_files=len(metas))
-            self.stats.compactions += 1
-            self.stats.bytes_compacted += compacted
-            self._m_compact_bytes.inc(compacted)
-            self._drop_run(level)
-            self._levels[level] = LevelRun(level, [])
-            for listener in self.listeners:
-                listener.on_level_replaced(level)
-            # Install (and persist the manifest) only after the emptied
-            # source level is reflected in the in-memory state.
-            self._install_run(level + 1, metas, replaced=[level + 1] if target else [])
-            self.env.crash_point("compaction.after_install")
-            self._commit("compaction")
+            self.compact_levels([level, level + 1])
 
     def compact_levels(self, levels: list[int]) -> None:
         """Merge several adjacent levels into the deepest of them.
@@ -1094,13 +1052,14 @@ class LSMStore:
                 compacted = sum(m.size_bytes for m in metas)
                 span.set(output_bytes=compacted, output_files=len(metas))
             self.stats.compactions += 1
-            self.stats.bytes_compacted += compacted
             self._m_compact_bytes.inc(compacted)
             for level in levels[:-1]:
                 self._drop_run(level)
                 self._levels[level] = LevelRun(level, [])
                 for listener in self.listeners:
                     listener.on_level_replaced(level)
+            # Install (and persist the manifest) only after the emptied
+            # source levels are reflected in the in-memory state.
             self._install_run(output, metas, replaced=[output])
             self.env.crash_point("compaction.after_install")
             self._commit("compaction")

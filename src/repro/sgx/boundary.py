@@ -4,49 +4,29 @@ Crossing the enclave boundary costs thousands of cycles (context save,
 TLB flush, SDK marshalling).  The paper's YCSB port wraps every PUT/GET
 in an ECall and every file operation in an OCall; its Appendix D argues
 placement choices precisely by counting these switches.  ``WorldBoundary``
-charges each switch plus per-byte marshalling copies and keeps counters so
-experiments can report switch rates.
+charges each switch plus per-byte marshalling copies and counts them in
+its telemetry: ``enclave.ecalls{call}`` / ``enclave.ocalls{call}`` in the
+registry, ``boundary.ecalls`` / ``boundary.ocalls`` in the active span's
+ledger.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 
 class WorldBoundary:
     """Charges and counts ECall/OCall transitions."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        costs: CostModel,
-        telemetry: "Telemetry | None" = None,
-    ) -> None:
+    def __init__(self, clock: SimClock, costs: CostModel, telemetry: Telemetry) -> None:
         self.clock = clock
         self.costs = costs
-        self.ecall_count = 0
-        self.ocall_count = 0
-        self._m_ecalls = None
-        self._m_ocalls = None
-        self._m_copy = None
         self.telemetry = telemetry
-
-    @property
-    def telemetry(self) -> "Telemetry | None":
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, telemetry: "Telemetry | None") -> None:
-        self._telemetry = telemetry
-        if telemetry is None:
-            return
         self._m_ecalls = telemetry.counter(
             "enclave.ecalls", "enclave entries (world switches)", labels=("call",)
         )
@@ -60,17 +40,14 @@ class WorldBoundary:
         )
 
     def _count_copy(self, nbytes: int, direction: str) -> None:
-        if self._m_copy is not None and nbytes:
+        if nbytes:
             self._m_copy.inc(nbytes, dir=direction)
 
     @contextmanager
     def ecall(self, name: str = "", in_bytes: int = 0, out_bytes: int = 0) -> Iterator[None]:
         """Enter the enclave to run a trusted function."""
-        self.ecall_count += 1
-        if self._m_ecalls is not None:
-            self._m_ecalls.inc(call=name or "anonymous")
-        if self._telemetry is not None:
-            self._telemetry.charge_resource("boundary.ecalls", 1)
+        self._m_ecalls.inc(call=name or "anonymous")
+        self.telemetry.charge_resource("boundary.ecalls", 1)
         self._count_copy(in_bytes, "in")
         self.clock.charge("ecall", self.costs.ecall_us)
         if in_bytes:
@@ -85,11 +62,8 @@ class WorldBoundary:
     @contextmanager
     def ocall(self, name: str = "", in_bytes: int = 0, out_bytes: int = 0) -> Iterator[None]:
         """Exit the enclave to run an untrusted function (e.g. a syscall)."""
-        self.ocall_count += 1
-        if self._m_ocalls is not None:
-            self._m_ocalls.inc(call=name or "anonymous")
-        if self._telemetry is not None:
-            self._telemetry.charge_resource("boundary.ocalls", 1)
+        self._m_ocalls.inc(call=name or "anonymous")
+        self.telemetry.charge_resource("boundary.ocalls", 1)
         self._count_copy(in_bytes, "out")
         self.clock.charge("ocall", self.costs.ocall_us)
         if in_bytes:

@@ -38,27 +38,22 @@ class ExecutionEnv:
         clock: SimClock,
         costs: CostModel,
         disk: SimDisk,
+        telemetry: Telemetry,
         enclave: Enclave | None = None,
-        boundary: WorldBoundary | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self.clock = clock
         self.costs = costs
         self.disk = disk
         self.enclave = enclave
-        self.telemetry = telemetry or Telemetry(clock=lambda: clock.now_us)
+        self.telemetry = telemetry
         # Cost attribution: every clock charge lands in the active span's
         # ledger (or the tracer's unattributed bucket).  The latest env
         # built over a clock owns attribution, so reopened stores never
         # double-count a charge.
-        clock.set_attribution(self.telemetry.tracer.on_charge)
-        if hasattr(disk, "bind_telemetry"):
-            disk.bind_telemetry(self.telemetry)
-        if enclave is not None and boundary is None:
-            boundary = WorldBoundary(clock, costs, telemetry=self.telemetry)
-        elif boundary is not None and boundary.telemetry is None:
-            boundary.telemetry = self.telemetry
-        self.boundary = boundary
+        clock.set_attribution(telemetry.tracer.on_charge)
+        self.boundary = (
+            WorldBoundary(clock, costs, telemetry) if enclave is not None else None
+        )
         self._m_hash_calls = self.telemetry.counter(
             "enclave.hash.invocations", "hashes computed by trusted code"
         )

@@ -77,25 +77,13 @@ class SimDisk:
             None if cache_bytes is None else max(1, cache_bytes // PAGE_SIZE)
         )
         self._last_block: dict[str, int] = {}
+        #: Page-cache block hits/misses over the disk's life, across every
+        #: store opened over it (the disk outlives any one store).
         self.cache_hit_blocks = 0
         self.cache_miss_blocks = 0
-        self._m_hits = None
-        self._m_misses = None
         #: Optional fault-injection plan (see :mod:`repro.faults.plan`).
         #: Duck-typed so the sim layer never imports the faults layer.
         self.fault_plan = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach page-cache hit/miss counters (idempotent; the first
-        ExecutionEnv built over this disk wins)."""
-        if self._m_hits is not None:
-            return
-        self._m_hits = telemetry.counter(
-            "cache.hits", "read-buffer block hits", labels=("region",)
-        )
-        self._m_misses = telemetry.counter(
-            "cache.misses", "read-buffer block misses", labels=("region",)
-        )
 
     # ------------------------------------------------------------------
     # Fault injection hooks
@@ -328,11 +316,6 @@ class SimDisk:
                 self._insert_cached(key)
         self.cache_hit_blocks += hit_blocks
         self.cache_miss_blocks += missed_blocks
-        if self._m_hits is not None:
-            if hit_blocks:
-                self._m_hits.inc(hit_blocks, region="kernel_page_cache")
-            if missed_blocks:
-                self._m_misses.inc(missed_blocks, region="kernel_page_cache")
         sequential = self._blocks(offset, length)[0] == self._last_block.get(name, -2) + 1
         self._last_block[name] = self._blocks(offset, length)[-1]
         if missed_blocks:

@@ -19,7 +19,7 @@ def test_in_enclave_variant_pays_world_switches():
     store = UnsecuredLSMStore(scale=SCALE, in_enclave=True, read_mode="buffer")
     store.put(b"a", b"1")
     assert store.get(b"a") == b"1"
-    assert store.env.boundary.ecall_count >= 2
+    assert store.telemetry.counter("enclave.ecalls").total() >= 2
 
 
 def test_no_protection_no_digests():

@@ -10,9 +10,15 @@ from repro.sim.disk import SimDisk
 from repro.sim.scale import ScaleConfig
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
+from repro.telemetry import Telemetry
 
 #: A small scale so tests exercise multiple levels cheaply.
 TEST_SCALE = ScaleConfig(factor=1.0 / 4096.0)
+
+
+def clock_telemetry(clock: SimClock) -> Telemetry:
+    """Telemetry whose spans and events are stamped on ``clock``."""
+    return Telemetry(clock=lambda: clock.now_us)
 
 
 @pytest.fixture
@@ -28,14 +34,14 @@ def disk(clock: SimClock) -> SimDisk:
 @pytest.fixture
 def env(clock: SimClock, disk: SimDisk) -> ExecutionEnv:
     """Untrusted (no-enclave) environment."""
-    return ExecutionEnv(clock, DEFAULT_COSTS, disk)
+    return ExecutionEnv(clock, DEFAULT_COSTS, disk, clock_telemetry(clock))
 
 
 @pytest.fixture
 def enclave_env(clock: SimClock, disk: SimDisk) -> ExecutionEnv:
     """Environment with a 64 KB-EPC enclave."""
     enclave = Enclave(clock, DEFAULT_COSTS, epc_bytes=64 * 1024)
-    return ExecutionEnv(clock, DEFAULT_COSTS, disk, enclave=enclave)
+    return ExecutionEnv(clock, DEFAULT_COSTS, disk, clock_telemetry(clock), enclave=enclave)
 
 
 @pytest.fixture
@@ -43,7 +49,7 @@ def free_env() -> ExecutionEnv:
     """Zero-cost environment for functional tests that ignore timing."""
     clock = SimClock()
     disk = SimDisk(clock, ZERO_COSTS)
-    return ExecutionEnv(clock, ZERO_COSTS, disk)
+    return ExecutionEnv(clock, ZERO_COSTS, disk, clock_telemetry(clock))
 
 
 @pytest.fixture

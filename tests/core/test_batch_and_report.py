@@ -55,9 +55,9 @@ def test_p2_batch_verified_reads():
 
 def test_p2_batch_single_ecall():
     store = make_p2_store(write_buffer_bytes=1 << 20)
-    before = store.env.boundary.ecall_count
+    before = store.report()["ecalls"]
     store.write_batch([kv(i) for i in range(20)])
-    assert store.env.boundary.ecall_count == before + 1
+    assert store.report()["ecalls"] == before + 1
 
 
 def test_p2_batch_wal_digest_advances():

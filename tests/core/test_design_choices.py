@@ -14,14 +14,14 @@ def test_p1_code_runs_inside_enclave():
     store = make_p1_store()
     assert store.env.in_enclave
     store.put(b"k", b"v")
-    assert store.env.boundary.ecall_count > 0
+    assert store.report()["ecalls"] > 0
 
 
 def test_p2_code_runs_inside_enclave():
     store = make_p2_store()
     assert store.env.in_enclave
     store.put(b"k", b"v")
-    assert store.env.boundary.ecall_count > 0
+    assert store.report()["ecalls"] > 0
 
 
 def test_p1_data_inside_enclave():

@@ -53,7 +53,7 @@ def test_total_proof_bytes_monotone():
     readings = []
     for i in range(0, 150, 10):
         store.get(kv(i)[0])
-        readings.append(store.total_proof_bytes)
+        readings.append(store.report()["proof_bytes_total"])
     assert readings == sorted(readings)
     assert readings[-1] > 0
 

@@ -90,10 +90,10 @@ def test_paging_beyond_epc():
 
 
 def test_ecalls_counted(store):
-    before = store.env.boundary.ecall_count
+    before = store.report()["ecalls"]
     store.get(kv(1)[0])
     store.put(b"x", b"y")
-    assert store.env.boundary.ecall_count == before + 2
+    assert store.report()["ecalls"] == before + 2
 
 
 def test_timestamps_monotonic(store):

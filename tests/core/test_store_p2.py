@@ -99,9 +99,9 @@ def test_levels_exist_after_load(loaded):
 
 def test_proof_bytes_accounted(loaded):
     loaded.flush()
-    before = loaded.total_proof_bytes
+    before = loaded.report()["proof_bytes_total"]
     loaded.get(kv(123)[0])
-    assert loaded.total_proof_bytes > before
+    assert loaded.report()["proof_bytes_total"] > before
 
 
 def test_memtable_hits_need_no_proof(store):

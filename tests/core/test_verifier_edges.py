@@ -10,7 +10,7 @@ from tests.conftest import kv, make_p2_store
 def test_empty_store_get():
     store = make_p2_store()
     assert store.get(b"anything") is None
-    assert store.total_proof_bytes == 0  # nothing to prove
+    assert store.report()["proof_bytes_total"] == 0  # nothing to prove
 
 
 def test_empty_store_scan():

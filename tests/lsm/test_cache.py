@@ -14,7 +14,11 @@ def test_miss_then_hit(free_env):
     assert buffer.get(("f", 0)) is None
     buffer.put(("f", 0), block())
     assert buffer.get(("f", 0)) is not None
-    assert (buffer.hits, buffer.misses) == (1, 1)
+    probes = [
+        free_env.telemetry.counter(f"cache.{kind}").value(region=buffer.region)
+        for kind in ("hits", "misses")
+    ]
+    assert probes == [1, 1]
 
 
 def test_lru_eviction(free_env):

@@ -161,7 +161,7 @@ def test_resize_rejected_in_mmap_mode(free_env):
 def test_write_amplification_accounted(store):
     for i in range(300):
         store.put(b"key%04d" % i, b"v" * 30)
-    assert store.stats.write_amplification() > 1.0
+    assert store.write_amplification() > 1.0
 
 
 def test_auto_timestamps_monotonic(store):

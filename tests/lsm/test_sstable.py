@@ -104,13 +104,20 @@ def test_buffer_fetcher_reads_entries(free_env):
     assert block.entries[0][0].key == b"key00000"
 
 
+def buffer_probes(env):
+    """(hits, misses) of the read buffer, from the registry."""
+    return tuple(
+        env.telemetry.counter(f"cache.{kind}").value(region="read_buffer")
+        for kind in ("hits", "misses")
+    )
+
+
 def test_buffer_caches_blocks(free_env):
     meta = build_table(free_env, n=60)
     fetcher = fetcher_for(free_env)
     fetcher.read_block(meta, meta.handles[0])
     fetcher.read_block(meta, meta.handles[0])
-    assert fetcher.buffer.hits == 1
-    assert fetcher.buffer.misses == 1
+    assert buffer_probes(free_env) == (1, 1)
 
 
 def test_mmap_fetcher(free_env):
@@ -157,7 +164,7 @@ def test_invalidate_file_clears_caches(free_env):
     fetcher.read_block(meta, meta.handles[0])
     fetcher.invalidate_file(meta.name)
     fetcher.read_block(meta, meta.handles[0])
-    assert fetcher.buffer.misses == 2
+    assert buffer_probes(free_env)[1] == 2
 
 
 def test_aux_survives_storage(free_env):

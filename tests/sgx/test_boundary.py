@@ -5,19 +5,24 @@ import pytest
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sgx.boundary import WorldBoundary
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
 def setup():
     clock = SimClock()
-    return clock, WorldBoundary(clock, CostModel())
+    return clock, WorldBoundary(clock, CostModel(), Telemetry())
+
+
+def switches(boundary, kind):
+    return boundary.telemetry.counter(f"enclave.{kind}").total()
 
 
 def test_ecall_counts_and_charges(setup):
     clock, boundary = setup
     with boundary.ecall("put"):
         pass
-    assert boundary.ecall_count == 1
+    assert boundary.telemetry.counter("enclave.ecalls").value(call="put") == 1
     assert clock.breakdown()["ecall"] == CostModel().ecall_us
 
 
@@ -25,7 +30,7 @@ def test_ocall_counts_and_charges(setup):
     clock, boundary = setup
     with boundary.ocall("fread"):
         pass
-    assert boundary.ocall_count == 1
+    assert boundary.telemetry.counter("enclave.ocalls").value(call="fread") == 1
     assert clock.breakdown()["ocall"] == CostModel().ocall_us
 
 
@@ -45,8 +50,8 @@ def test_nested_calls(setup):
             pass
         with boundary.ocall("syscall"):
             pass
-    assert boundary.ecall_count == 1
-    assert boundary.ocall_count == 2
+    assert switches(boundary, "ecalls") == 1
+    assert switches(boundary, "ocalls") == 2
 
 
 def test_out_copy_charged_even_on_exception(setup):

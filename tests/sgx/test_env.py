@@ -7,13 +7,18 @@ from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
+from repro.telemetry import Telemetry
 
 
 def make_env(with_enclave: bool):
     clock = SimClock()
     disk = SimDisk(clock, CostModel())
     enclave = Enclave(clock, CostModel(), 64 * 1024) if with_enclave else None
-    return ExecutionEnv(clock, CostModel(), disk, enclave=enclave)
+    return ExecutionEnv(clock, CostModel(), disk, Telemetry(), enclave=enclave)
+
+
+def switches(env, kind):
+    return env.telemetry.counter(f"enclave.{kind}").total()
 
 
 def test_in_enclave_flag():
@@ -24,17 +29,17 @@ def test_in_enclave_flag():
 def test_file_read_pays_ocall_inside_enclave():
     env = make_env(True)
     env.file_write("f", b"data")
-    before = env.boundary.ocall_count
+    before = switches(env, "ocalls")
     env.file_read("f", 0, 4)
-    assert env.boundary.ocall_count == before + 1
+    assert switches(env, "ocalls") == before + 1
 
 
 def test_mmap_read_skips_ocall():
     env = make_env(True)
     env.file_write("f", b"data")
-    before = env.boundary.ocall_count
+    before = switches(env, "ocalls")
     env.file_read("f", 0, 4, mmap=True)
-    assert env.boundary.ocall_count == before
+    assert switches(env, "ocalls") == before
 
 
 def test_no_boundary_without_enclave():
@@ -49,7 +54,7 @@ def test_op_call_is_ecall_inside_enclave():
     env = make_env(True)
     with env.op_call("get"):
         pass
-    assert env.boundary.ecall_count == 1
+    assert switches(env, "ecalls") == 1
 
 
 def test_op_call_noop_outside():

@@ -11,6 +11,7 @@ from repro.sim.costs import DEFAULT_COSTS, PAGE_SIZE
 from repro.sim.disk import SimDisk
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
+from repro.telemetry import Telemetry
 
 EPC = 16 * PAGE_SIZE  # 16-page enclave for these micro tests
 
@@ -19,7 +20,7 @@ def make_env():
     clock = SimClock()
     disk = SimDisk(clock, DEFAULT_COSTS)
     enclave = Enclave(clock, DEFAULT_COSTS, EPC)
-    return ExecutionEnv(clock, DEFAULT_COSTS, disk, enclave=enclave)
+    return ExecutionEnv(clock, DEFAULT_COSTS, disk, Telemetry(), enclave=enclave)
 
 
 def buffer_read_cost(location: str, buffer_pages: int, touches: int) -> float:
