@@ -404,6 +404,17 @@ def _chain_of(node: ast.expr) -> list[str]:
     return []
 
 
+def _terminals(test: ast.expr) -> set[str]:
+    """Name ids and attribute names appearing in an ``if`` test."""
+    out: set[str] = set()
+    for node in ast.walk(test):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
 def get_callgraph(index) -> "CallGraph":
     """One shared :class:`CallGraph` per index (taint, EL6xx and EL7xx
     all need it; building it three times would triple lint wall time)."""

@@ -54,16 +54,11 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.callgraph import CallGraph, _chain_of, get_callgraph
+from repro.analysis.callgraph import CallGraph, _chain_of, _terminals, get_callgraph
 from repro.analysis.engine import ProjectIndex
 from repro.analysis.model import Finding, Severity
 from repro.analysis.taint import Matcher
-from repro.analysis.zones import CostConfig
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback
-    tomllib = None
+from repro.analysis.zones import CostConfig, load_toml
 
 _FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -448,17 +443,6 @@ class CostAnalysis:
         return self.unit_loops.match(None, ".".join(chain))
 
 
-def _terminals(test: ast.expr) -> set[str]:
-    """Name ids and attribute names appearing in an ``if`` test."""
-    out: set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Certificates
 # ----------------------------------------------------------------------
@@ -518,23 +502,12 @@ def load_committed_costs(path: Path) -> dict[str, dict[str, str]] | None:
     """Parse ``analysis/costs.toml``; ``None`` when the file is absent."""
     if not path.exists():
         return None
-    if tomllib is not None:
-        with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-    else:
-        from repro.analysis.zones import _parse_toml_subset
-
-        raw = _parse_toml_subset(path.read_text(encoding="utf-8"))
     out: dict[str, dict[str, str]] = {}
-    operations = raw.get("operation", {})
+    operations = load_toml(path).get("operation", {})
     if isinstance(operations, dict):
         for entry, table in operations.items():
             if isinstance(table, dict):
                 out[entry] = {k: str(v) for k, v in table.items()}
-    # py3.10 subset parser keeps dotted table names flat.
-    for key, table in raw.items():
-        if key.startswith("operation.") and isinstance(table, dict):
-            out[key[len("operation."):]] = {k: str(v) for k, v in table.items()}
     return out
 
 

@@ -45,7 +45,7 @@ import ast
 import fnmatch
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph, _chain_of, get_callgraph
+from repro.analysis.callgraph import CallGraph, _chain_of, _terminals, get_callgraph
 from repro.analysis.engine import ProjectIndex
 from repro.analysis.model import Finding, Severity
 from repro.analysis.taint import Matcher
@@ -416,17 +416,6 @@ class ProtocolAnalysis:
                 f"{rule.then}; ordering rule: {rule.raw}",
             )
         state.owed.clear()
-
-
-def _terminals(test: ast.expr) -> set[str]:
-    """Name ids and attribute names appearing in an ``if`` test."""
-    out: set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
 
 
 def run_protocol(index: ProjectIndex) -> list[Finding]:

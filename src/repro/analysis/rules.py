@@ -34,6 +34,7 @@ import ast
 import re
 from typing import Iterator
 
+from repro.analysis.callgraph import _chain_of
 from repro.analysis.engine import ModuleInfo, ProjectIndex
 from repro.analysis.model import Finding, Severity
 from repro.analysis.zones import Zone
@@ -334,19 +335,6 @@ _IO_MODULES = frozenset({"os", "io", "pathlib", "shutil", "socket", "subprocess"
 _UNTRUSTED_HANDLES = frozenset({"disk", "fetcher", "prover"})
 
 
-def _attr_chain(node: ast.expr) -> list[str]:
-    """``a.b.c`` -> ["a", "b", "c"] (empty when not a pure name chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
 def _el102_untrusted_reads(index: ProjectIndex) -> Iterator[Finding]:
     for module in index.modules.values():
         if index.config.zone_of(module.name) is not Zone.ENCLAVE:
@@ -369,7 +357,7 @@ def _el102_untrusted_reads(index: ProjectIndex) -> Iterator[Finding]:
                         f"{func.id}; only host-side code may own one",
                     )
             elif isinstance(func, ast.Attribute):
-                chain = _attr_chain(func)
+                chain = _chain_of(func)
                 if not chain:
                     continue
                 if chain[0] in _IO_MODULES:

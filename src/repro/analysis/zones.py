@@ -413,8 +413,9 @@ _QUOTED = re.compile(r"'([^']*)'|\"([^\"]*)\"")
 
 
 def _parse_toml_subset(text: str) -> dict:
-    """Parse the TOML subset ``zones.toml`` uses: tables, quoted strings,
-    and (possibly multiline) arrays of quoted strings.  Used only when
+    """Parse the TOML subset ``zones.toml`` and ``costs.toml`` use:
+    tables (dotted headers nest, as in TOML), quoted strings, and
+    (possibly multiline) arrays of quoted strings.  Used only when
     :mod:`tomllib` is unavailable (Python 3.10)."""
     root: dict = {}
     table = root
@@ -426,7 +427,9 @@ def _parse_toml_subset(text: str) -> dict:
         if pending:
             pending += " " + line
         elif line.startswith("[") and line.endswith("]") and "=" not in line:
-            table = root.setdefault(line[1:-1].strip(), {})
+            table = root
+            for part in line[1:-1].split("."):
+                table = table.setdefault(part.strip(), {})
             continue
         else:
             pending = line
@@ -445,13 +448,18 @@ def _parse_toml_subset(text: str) -> dict:
     return root
 
 
-def load_zone_config(path: Path) -> ZoneConfig:
-    """Load ``zones.toml``; unknown keys are rejected to keep the file honest."""
+def load_toml(path: Path) -> dict:
+    """Parse a TOML file with :mod:`tomllib`, or with the subset parser
+    where it is unavailable (Python 3.10)."""
     if tomllib is not None:
         with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-    else:
-        raw = _parse_toml_subset(path.read_text(encoding="utf-8"))
+            return tomllib.load(fh)
+    return _parse_toml_subset(path.read_text(encoding="utf-8"))
+
+
+def load_zone_config(path: Path) -> ZoneConfig:
+    """Load ``zones.toml``; unknown keys are rejected to keep the file honest."""
+    raw = load_toml(path)
     config = ZoneConfig()
     zones_raw = raw.pop("zones", {})
     for name, patterns in zones_raw.items():

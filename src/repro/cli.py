@@ -320,9 +320,6 @@ def cmd_ycsb(args) -> int:
     if args.multiget > 1 and not hasattr(store, "multi_get"):
         print(f"system {args.system} has no multi_get; running sequentially",
               file=sys.stderr)
-    if args.group_commit > 1 and not hasattr(store, "group_commit"):
-        print(f"system {args.system} has no group_commit; writing "
-              f"sequentially", file=sys.stderr)
     print(f"loading {args.records} records into {args.system}...")
     load_phase(store, CoreWorkload(spec, args.records, seed=1))
     result = run_phase(

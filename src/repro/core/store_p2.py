@@ -39,7 +39,7 @@ from repro.core.proofs import (
 from repro.core.verifier import Verifier
 from repro.cryptoprim.hashing import FILTER_SALT_LEN, constant_time_eq
 from repro.lsm.db import LSMConfig, LSMStore
-from repro.lsm.records import KIND_DELETE, KIND_PUT, Record
+from repro.lsm.records import KIND_PUT, Record, decode_group_ops
 from repro.sgx.counter import BufferedCounterAnchor, TrustedMonotonicCounter
 from repro.sgx.enclave import Enclave
 from repro.sgx.env import ExecutionEnv
@@ -410,32 +410,6 @@ class ELSMP2Store:
                 self._maybe_anchor()
                 return ts
 
-    def write_batch(self, pairs, deletes=()) -> list[int]:
-        """Atomic multi-write: one ECall, one lock, consecutive stamps."""
-        from repro.lsm.db import WriteBatch
-
-        batch = WriteBatch()
-        total_bytes = 0
-        for key, value in pairs:
-            batch.put(self.codec.encode_key(key), self.codec.encode_value(value))
-            total_bytes += len(key) + len(value)
-        for key in deletes:
-            batch.delete(self.codec.encode_key(key))
-            total_bytes += len(key)
-        with self._op_lock:
-            self._admit("write_batch")
-            return self._write_batch_admitted(batch, total_bytes)
-
-    def _write_batch_admitted(self, batch, total_bytes: int) -> list[int]:
-        with self.env.op_call("write_batch", in_bytes=total_bytes):
-            if self.codec.mode != MODE_PLAIN:
-                self.env.trusted_cipher(total_bytes)
-            stamps = self.db.write_batch(batch)
-            if stamps:
-                self._ts = max(self._ts, stamps[-1])
-            self._maybe_anchor()
-            return stamps
-
     def group_commit(self, ops) -> list[int]:
         """Commit a group of writes with ONE ECall, ONE WAL disk write,
         and ONE fsync (group commit, Section 5 write-path pipelining).
@@ -451,25 +425,15 @@ class ELSMP2Store:
         effect.
         """
         with self._op_lock, self.telemetry.span("elsm.group_commit") as span:
-            encoded: list[tuple[int, bytes, bytes]] = []
-            total_bytes = 0
-            for op in ops:
-                if op[0] in ("put", KIND_PUT):
-                    _, key, value = op
-                    encoded.append(
-                        (
-                            KIND_PUT,
-                            self.codec.encode_key(key),
-                            self.codec.encode_value(value),
-                        )
-                    )
-                    total_bytes += len(key) + len(value)
-                elif op[0] in ("delete", KIND_DELETE):
-                    key = op[1]
-                    encoded.append((KIND_DELETE, self.codec.encode_key(key), b""))
-                    total_bytes += len(key)
-                else:
-                    raise ValueError(f"unknown group-commit op: {op[0]!r}")
+            decoded, total_bytes = decode_group_ops(ops)
+            encoded = [
+                (
+                    kind,
+                    self.codec.encode_key(key),
+                    self.codec.encode_value(value) if kind == KIND_PUT else b"",
+                )
+                for kind, key, value in decoded
+            ]
             self._admit("group_commit", cost=float(max(1, len(encoded))))
             with self.env.op_call("group_commit", in_bytes=total_bytes):
                 if self.codec.mode != MODE_PLAIN:

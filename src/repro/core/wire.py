@@ -299,7 +299,7 @@ def _read_refs(r: _Reader) -> tuple[int, ...]:
     return tuple(r.u32() for _ in range(r.u16()))
 
 
-def _write_batch_entry(w: _Writer, entry) -> None:
+def _write_pooled_entry(w: _Writer, entry) -> None:
     if isinstance(entry, BatchLevelMembership):
         w.u8(_TAG_POOLED_MEMBERSHIP)
         w.u32(entry.level)
@@ -329,7 +329,7 @@ def _write_batch_entry(w: _Writer, entry) -> None:
         raise ProofFormatError(f"cannot serialize {type(entry).__name__}")
 
 
-def _read_batch_entry(r: _Reader):
+def _read_pooled_entry(r: _Reader):
     tag = r.u8()
     if tag == _TAG_POOLED_MEMBERSHIP:
         level = r.u32()
@@ -390,7 +390,7 @@ def serialize_batch_get_proof(proof: BatchGetProof) -> bytes:
     for entries in proof.per_key:
         w.u16(len(entries))
         for entry in entries:
-            _write_batch_entry(w, entry)
+            _write_pooled_entry(w, entry)
     return w.getvalue()
 
 
@@ -409,7 +409,7 @@ def deserialize_batch_get_proof(blob: bytes) -> BatchGetProof:
     node_pool = tuple(r.raw(HASH_LEN) for _ in range(r.u32()))
     reveal_pool = tuple(_read_reveal(r) for _ in range(r.u32()))
     per_key = tuple(
-        tuple(_read_batch_entry(r) for _ in range(r.u16())) for _ in keys
+        tuple(_read_pooled_entry(r) for _ in range(r.u16())) for _ in keys
     )
     r.done()
     return BatchGetProof(

@@ -9,7 +9,7 @@ modifying the engine* (Section 5.5.3).
 """
 
 from repro.lsm.records import KIND_DELETE, KIND_PUT, Record, decode_record, encode_record
-from repro.lsm.db import LSMConfig, LSMStore, WriteBatch
+from repro.lsm.db import LSMConfig, LSMStore
 from repro.lsm.background import BackgroundCompactor
 from repro.lsm.iterator import latest_versions, merge_sorted, store_snapshot
 from repro.lsm.events import CompactionContext, EventListener
@@ -22,7 +22,6 @@ __all__ = [
     "decode_record",
     "LSMStore",
     "LSMConfig",
-    "WriteBatch",
     "merge_sorted",
     "latest_versions",
     "store_snapshot",

@@ -81,31 +81,6 @@ class LSMConfig:
     bloom_salt: bytes = b""
 
 
-class WriteBatch:
-    """An atomic group of writes (LevelDB's WriteBatch).
-
-    All operations are applied under one lock acquisition and logged
-    consecutively; the flush trigger is evaluated once at the end, so a
-    batch never straddles a MemTable flush.
-    """
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[int, bytes, bytes]] = []
-
-    def put(self, key: bytes, value: bytes) -> "WriteBatch":
-        """Queue a PUT; returns self for chaining."""
-        self.ops.append((KIND_PUT, key, value))
-        return self
-
-    def delete(self, key: bytes) -> "WriteBatch":
-        """Queue a DELETE; returns self for chaining."""
-        self.ops.append((KIND_DELETE, key, b""))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
 @dataclass
 class GetResult:
     """A point lookup outcome with its provenance level (0 = MemTable)."""
@@ -289,32 +264,6 @@ class LSMStore:
                 self._degrade("delete", exc)
             return ts
 
-    def write_batch(self, batch: WriteBatch) -> list[int]:
-        """Apply a batch atomically; returns the assigned timestamps."""
-        with self._lock:
-            self._guard_write()
-            self._m_ops.inc(op="write_batch")
-            stamps: list[int] = []
-            try:
-                for kind, key, value in batch.ops:
-                    ts = self._resolve_ts(None)
-                    stamps.append(ts)
-                    record = Record(key=key, ts=ts, kind=kind, value=value)
-                    if self.wal is not None:
-                        for listener in self.listeners:
-                            listener.on_wal_append(record)
-                        self.wal.append(record)
-                    self.memtable.add(record)
-                    nbytes = record.approximate_bytes()
-                    self._m_user_bytes.inc(nbytes)
-                    self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-                    self._touch_memtable(record.key, nbytes, write=True)
-                self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
-                self._maybe_flush()
-            except StorageFailure as exc:
-                self._degrade("write_batch", exc)
-            return stamps
-
     def commit_group(
         self,
         ops: list[tuple[int, bytes, bytes]],
@@ -324,12 +273,11 @@ class LSMStore:
         fsync (all-or-nothing durability for the group).
 
         ``ops`` is a list of ``(kind, key, value)`` tuples as built by
-        :class:`WriteBatch`; ``stamps`` optionally pins the timestamps
-        (recovery/replication), otherwise consecutive timestamps are
-        assigned.  Returns the timestamps in op order.  Unlike
-        :meth:`write_batch` — which logs each record with its own disk
-        write under the WAL's fsync cadence — the whole group lands as a
-        single :meth:`~repro.lsm.wal.WriteAheadLog.append_group`, so the
+        :func:`~repro.lsm.records.decode_group_ops`; ``stamps``
+        optionally pins the timestamps (recovery/replication), otherwise
+        consecutive timestamps are assigned.  Returns the timestamps in
+        op order.  The whole group lands as a single
+        :meth:`~repro.lsm.wal.WriteAheadLog.append_group`, so the
         per-operation cost of the fsync (and, in eLSM, of the enclave
         transition and seal) is amortised across the group.
         """
@@ -350,16 +298,9 @@ class LSMStore:
                         for listener in self.listeners:
                             listener.on_wal_append(record)
                     self.wal.append_group(records)
-                for record in records:
-                    self.memtable.add(record)
-                    nbytes = record.approximate_bytes()
-                    self._m_user_bytes.inc(nbytes)
-                    self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-                    self._touch_memtable(record.key, nbytes, write=True)
-                self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
                 self._m_gc_groups.inc()
                 self._m_gc_records.inc(len(records))
-                self._maybe_flush()
+                self._apply(records)
             except StorageFailure as exc:
                 self._degrade("group_commit", exc)
             return assigned
@@ -467,76 +408,6 @@ class LSMStore:
                         return GetResult(record=candidate, level=level)
             self._m_get_level.inc(level="miss")
             return GetResult(record=None, level=None)
-
-    def multi_get(
-        self, keys: list[bytes], ts_query: int | None = None
-    ) -> list[bytes | None]:
-        """Batched point lookups under one lock acquisition.
-
-        Keys are grouped per level in sorted order and served through one
-        :class:`~repro.lsm.sstable.ScopedBlockCache`, so a block shared
-        by several keys is fetched once instead of once per key.
-        Results align with the request order and match what N sequential
-        :meth:`get` calls would return.
-        """
-        from repro.lsm.sstable import ScopedBlockCache
-
-        with self._lock:
-            self._m_ops.inc(op="multi_get")
-            self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
-            results: dict[bytes, Record | None] = {}
-            pending: list[bytes] = []
-            seen: set[bytes] = set()
-            for key in keys:
-                if key in seen:
-                    continue
-                seen.add(key)
-                record = self.mem_lookup(key, ts_query)
-                if record is not None:
-                    self._touch_memtable(key, record.approximate_bytes())
-                    results[key] = record
-                else:
-                    pending.append(key)
-            pending.sort()
-            scoped = ScopedBlockCache(self.fetcher)
-            for level in self.level_indices():
-                if not pending:
-                    break
-                run = self._levels[level]
-                still_pending: list[bytes] = []
-                for key in pending:
-                    self.env.clock.charge(
-                        "compute", self.env.costs.cpu_block_scan_us
-                    )
-                    if self.config.use_bloom:
-                        self._m_bloom_checks.inc()
-                        if not run.may_contain(key):
-                            self._m_bloom_negatives.inc()
-                            still_pending.append(key)
-                            continue
-                    found = None
-                    group = run.get_group(scoped, key)
-                    if not group and self.config.use_bloom:
-                        self._m_bloom_fp.inc()
-                    for candidate, _aux in group:
-                        if ts_query is None or candidate.ts <= ts_query:
-                            found = candidate
-                            break
-                    if found is None:
-                        still_pending.append(key)
-                    else:
-                        results[key] = found
-                pending = still_pending
-            for key in pending:
-                results[key] = None
-            out: list[bytes | None] = []
-            for key in keys:
-                record = results.get(key)
-                if record is None or record.is_tombstone:
-                    out.append(None)
-                else:
-                    out.append(record.value)
-            return out
 
     def scan(
         self, lo: bytes, hi: bytes, ts_query: int | None = None
@@ -663,16 +534,23 @@ class LSMStore:
         self._auto_ts = max(self._auto_ts, ts)
         return ts
 
-    def _write(self, record: Record, log: bool = True) -> None:
-        if log and self.wal is not None:
+    def _write(self, record: Record) -> None:
+        if self.wal is not None:
             for listener in self.listeners:
                 listener.on_wal_append(record)
             self.wal.append(record)
-        self.memtable.add(record)
-        nbytes = record.approximate_bytes()
-        self._m_user_bytes.inc(nbytes)
-        self.env.meta_grow(_MEMTABLE_REGION, nbytes)
-        self._touch_memtable(record.key, nbytes, write=True)
+        self._apply([record])
+
+    def _apply(self, records: list[Record]) -> None:
+        """Add logged (or replayed) records to the MemTable as ONE
+        operation: one compute charge, then one flush check, so a group
+        never straddles a flush."""
+        for record in records:
+            self.memtable.add(record)
+            nbytes = record.approximate_bytes()
+            self._m_user_bytes.inc(nbytes)
+            self.env.meta_grow(_MEMTABLE_REGION, nbytes)
+            self._touch_memtable(record.key, nbytes, write=True)
         self.env.clock.charge("compute", self.env.costs.cpu_op_base_us)
         self._maybe_flush()
 
@@ -788,7 +666,7 @@ class LSMStore:
             try:
                 for record in records:
                     self._resolve_ts(record.ts)
-                    self._write(record, log=False)
+                    self._apply([record])
             finally:
                 self._recovering = False
             if self.memtable.approximate_bytes >= self.config.write_buffer_bytes:

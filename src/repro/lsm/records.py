@@ -49,6 +49,27 @@ def tombstone(key: bytes, ts: int) -> Record:
     return Record(key=key, ts=ts, kind=KIND_DELETE, value=b"")
 
 
+def decode_group_ops(ops) -> tuple[list[tuple[int, bytes, bytes]], int]:
+    """Decode group-commit ops, ``("put", key, value)`` and
+    ``("delete", key)`` (or ``KIND_PUT``/``KIND_DELETE`` in place of the
+    name), into ``(kind, key, value)`` tuples in caller order; also
+    returns the user payload bytes they carry.  Raises ValueError on any
+    other op kind, before the caller writes anything."""
+    decoded: list[tuple[int, bytes, bytes]] = []
+    total_bytes = 0
+    for op in ops:
+        if op[0] in ("put", KIND_PUT):
+            _, key, value = op
+            decoded.append((KIND_PUT, key, value))
+            total_bytes += len(key) + len(value)
+        elif op[0] in ("delete", KIND_DELETE):
+            decoded.append((KIND_DELETE, op[1], b""))
+            total_bytes += len(op[1])
+        else:
+            raise ValueError(f"unknown group-commit op: {op[0]!r}")
+    return decoded, total_bytes
+
+
 def encode_record(record: Record) -> bytes:
     """Canonical byte encoding (used on disk and in hash chains)."""
     return (

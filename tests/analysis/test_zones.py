@@ -84,19 +84,28 @@ def test_load_roundtrip(tmp_path):
     assert config.metric_name_pattern == "^[a-z.]+$"
 
 
-def test_toml_subset_fallback_matches_tomllib():
-    """The 3.10 fallback parser agrees with tomllib on the real config."""
+@pytest.mark.parametrize(
+    "name, tables",
+    [
+        ("zones.toml", ("zones", "roles", "telemetry")),
+        ("costs.toml", ("operation",)),
+    ],
+    ids=["zones.toml", "costs.toml"],
+)
+def test_toml_subset_fallback_matches_tomllib(name, tables):
+    """The 3.10 fallback parser agrees with tomllib on the real configs,
+    dotted table headers (``[operation.put]``) included."""
     from pathlib import Path
 
     import repro.analysis.zones as zones_mod
 
-    text = (Path(__file__).resolve().parents[2] / "analysis" / "zones.toml").read_text()
+    text = (Path(__file__).resolve().parents[2] / "analysis" / name).read_text()
     parsed = zones_mod._parse_toml_subset(text)
     if zones_mod.tomllib is not None:
         import tomllib
 
         assert parsed == tomllib.loads(text)
-    assert "zones" in parsed and "roles" in parsed and "telemetry" in parsed
+    assert all(table in parsed for table in tables)
 
 
 def test_repo_zone_config_classifies_core_modules():

@@ -1,15 +1,17 @@
-"""WriteBatch atomicity and the operational report."""
+"""Group-commit atomicity and the operational report."""
 
 import pytest
 
-from repro.lsm.db import LSMConfig, LSMStore, WriteBatch
+from repro.lsm.db import LSMConfig, LSMStore
+from repro.lsm.records import KIND_DELETE, KIND_PUT
 from tests.conftest import kv, make_p2_store
 
 
 def test_batch_applies_all_ops(free_env):
     store = LSMStore(free_env, LSMConfig(write_buffer_bytes=100_000))
-    batch = WriteBatch().put(b"a", b"1").put(b"b", b"2").delete(b"a")
-    stamps = store.write_batch(batch)
+    stamps = store.commit_group(
+        [(KIND_PUT, b"a", b"1"), (KIND_PUT, b"b", b"2"), (KIND_DELETE, b"a", b"")]
+    )
     assert len(stamps) == 3
     assert stamps == sorted(stamps)
     assert store.get(b"a") is None
@@ -18,11 +20,9 @@ def test_batch_applies_all_ops(free_env):
 
 def test_batch_never_straddles_a_flush(free_env):
     store = LSMStore(free_env, LSMConfig(write_buffer_bytes=512))
-    batch = WriteBatch()
-    for i in range(40):  # far beyond the write buffer
-        batch.put(b"key%03d" % i, b"v" * 30)
-    store.write_batch(batch)
-    # A single flush at the end, not one mid-batch.
+    # Far beyond the write buffer.
+    store.commit_group([(KIND_PUT, b"key%03d" % i, b"v" * 30) for i in range(40)])
+    # A single flush at the end, not one mid-group.
     assert store.stats.flushes == 1
     for i in range(40):
         assert store.get(b"key%03d" % i) == b"v" * 30
@@ -30,7 +30,7 @@ def test_batch_never_straddles_a_flush(free_env):
 
 def test_batch_wal_logged(free_env):
     store = LSMStore(free_env, LSMConfig(write_buffer_bytes=100_000))
-    store.write_batch(WriteBatch().put(b"a", b"1").put(b"b", b"2"))
+    store.commit_group([(KIND_PUT, b"a", b"1"), (KIND_PUT, b"b", b"2")])
     revived = LSMStore(free_env, LSMConfig(write_buffer_bytes=100_000))
     assert revived.recover() == 2
     assert revived.get(b"b") == b"2"
@@ -38,13 +38,13 @@ def test_batch_wal_logged(free_env):
 
 def test_empty_batch(free_env):
     store = LSMStore(free_env, LSMConfig())
-    assert store.write_batch(WriteBatch()) == []
+    assert store.commit_group([]) == []
 
 
 def test_p2_batch_verified_reads():
     store = make_p2_store()
-    stamps = store.write_batch(
-        [kv(i) for i in range(30)], deletes=[kv(2)[0]]
+    stamps = store.group_commit(
+        [("put", *kv(i)) for i in range(30)] + [("delete", kv(2)[0])]
     )
     assert len(stamps) == 31
     store.flush()
@@ -56,14 +56,14 @@ def test_p2_batch_verified_reads():
 def test_p2_batch_single_ecall():
     store = make_p2_store(write_buffer_bytes=1 << 20)
     before = store.report()["ecalls"]
-    store.write_batch([kv(i) for i in range(20)])
+    store.group_commit([("put", *kv(i)) for i in range(20)])
     assert store.report()["ecalls"] == before + 1
 
 
 def test_p2_batch_wal_digest_advances():
     store = make_p2_store(write_buffer_bytes=1 << 20)
     initial = store.listener.wal_digest
-    store.write_batch([kv(0)])
+    store.group_commit([("put", *kv(0))])
     assert store.listener.wal_digest != initial
 
 

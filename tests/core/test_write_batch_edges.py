@@ -1,14 +1,14 @@
-"""WRITE_BATCH edge cases: ordering, duplicates, and flush interaction.
+"""Group-commit edge cases: ordering, duplicates, and flush interaction.
 
 The basics (atomicity, WAL logging, single ECall) live in
 ``test_batch_and_report.py``; these pin down the corner semantics: later
-operations in a batch win, a put+delete pair resolves in batch order,
-an empty batch is a no-op at every layer, and a batch large enough to
+operations in a group win, a put+delete pair resolves in group order,
+an empty group is a no-op at every layer, and a group large enough to
 trip the flush threshold still lands as one unit (flush evaluated once,
-after the batch).
+after the group).
 """
 
-from repro.lsm.db import WriteBatch
+from repro.lsm.records import KIND_DELETE, KIND_PUT
 from tests.conftest import kv, make_p2_store
 
 
@@ -16,8 +16,9 @@ def test_duplicate_key_last_write_wins(free_env):
     from repro.lsm.db import LSMConfig, LSMStore
 
     store = LSMStore(free_env, LSMConfig(write_buffer_bytes=1 << 20))
-    batch = WriteBatch().put(b"k", b"first").put(b"k", b"second")
-    stamps = store.write_batch(batch)
+    stamps = store.commit_group(
+        [(KIND_PUT, b"k", b"first"), (KIND_PUT, b"k", b"second")]
+    )
     assert len(stamps) == 2
     assert stamps[0] < stamps[1]
     assert store.get(b"k") == b"second"
@@ -27,10 +28,10 @@ def test_put_then_delete_same_key_in_batch(free_env):
     from repro.lsm.db import LSMConfig, LSMStore
 
     store = LSMStore(free_env, LSMConfig(write_buffer_bytes=1 << 20))
-    store.write_batch(WriteBatch().put(b"k", b"v").delete(b"k"))
+    store.commit_group([(KIND_PUT, b"k", b"v"), (KIND_DELETE, b"k", b"")])
     assert store.get(b"k") is None
     # And the reverse order resurrects the key.
-    store.write_batch(WriteBatch().delete(b"j").put(b"j", b"back"))
+    store.commit_group([(KIND_DELETE, b"j", b""), (KIND_PUT, b"j", b"back")])
     assert store.get(b"j") == b"back"
 
 
@@ -39,17 +40,17 @@ def test_empty_batch_is_noop_on_p2():
     before_ts = store.current_ts
     ecalls = store.telemetry.counter("enclave.ecalls", labels=("call",))
     ecalls_before = ecalls.total()
-    assert store.write_batch([]) == []
+    assert store.group_commit([]) == []
     assert store.current_ts == before_ts
-    # The (empty) batch still cost exactly one boundary crossing.
+    # The (empty) group still cost exactly one boundary crossing.
     assert ecalls.total() == ecalls_before + 1
 
 
 def test_p2_duplicate_and_delete_mix_verified():
     store = make_p2_store()
     key = kv(1)[0]
-    store.write_batch(
-        [(key, b"first"), (key, b"second")], deletes=[kv(2)[0]]
+    store.group_commit(
+        [("put", key, b"first"), ("put", key, b"second"), ("delete", kv(2)[0])]
     )
     store.put(*kv(2, version=1))
     store.flush()
@@ -62,22 +63,24 @@ def test_p2_duplicate_and_delete_mix_verified():
 
 
 def test_batch_spanning_flush_threshold_applies_atomically():
-    """A batch far larger than the write buffer must not flush midway:
+    """A group far larger than the write buffer must not flush midway:
     every stamp is consecutive and every record readable afterwards."""
     store = make_p2_store(write_buffer_bytes=1024)
     pairs = [kv(i) for i in range(120)]  # several buffers' worth
     flushes_before = store.db.stats.flushes
-    stamps = store.write_batch(pairs)
+    stamps = store.group_commit([("put", *pair) for pair in pairs])
     assert stamps == list(range(stamps[0], stamps[0] + len(pairs)))
-    # The flush trigger fired once, after the batch was fully applied.
-    assert store.db.stats.flushes <= flushes_before + 1
+    # The flush trigger fired once, after the group was fully applied.
+    assert store.db.stats.flushes == flushes_before + 1
     for key, value in pairs:
         assert store.get(key) == value
 
 
 def test_batch_then_tombstone_survives_compaction():
     store = make_p2_store()
-    store.write_batch([kv(i) for i in range(60)], deletes=[kv(30)[0]])
+    store.group_commit(
+        [("put", *kv(i)) for i in range(60)] + [("delete", kv(30)[0])]
+    )
     store.flush()
     store.compact_all()
     assert store.get(kv(30)[0]) is None

@@ -210,41 +210,3 @@ def test_randomized_against_model(free_env):
         assert store.get(key) == model.get(key)
     scanned = {r.key: r.value for r in store.scan(b"key000", b"key999")}
     assert scanned == model
-
-
-def test_multi_get_matches_sequential(store):
-    for i in range(80):
-        store.put(b"key%03d" % i, b"v%03d" % i)
-    store.flush()
-    store.put(b"key005", b"fresh")  # memtable overlay
-    store.delete(b"key006")
-    keys = [b"key%03d" % i for i in range(0, 80, 7)] + [
-        b"nope", b"key005", b"key006", b"key005",
-    ]
-    assert store.multi_get(keys) == [store.get(k) for k in keys]
-
-
-def test_multi_get_ts_query(store):
-    store.put(b"k", b"old")
-    old_ts = store.memtable.get(b"k", None).ts
-    store.put(b"k", b"new")
-    store.flush()
-    assert store.multi_get([b"k"], ts_query=old_ts) == [b"old"]
-    assert store.multi_get([b"k"]) == [b"new"]
-
-
-def test_multi_get_shares_block_fetches(store):
-    """Adjacent keys in one block must be served by a single fetch."""
-    for i in range(80):
-        store.put(b"key%03d" % i, b"v%03d" % i)
-    store.flush()
-    reads = store.env.telemetry.counter("disk.ops", labels=("op",))
-    keys = [b"key%03d" % i for i in range(40, 48)]
-    before_seq = reads.total()
-    for key in keys:
-        store.get(key)
-    sequential_reads = reads.total() - before_seq
-    before_batch = reads.total()
-    store.multi_get(keys)
-    batch_reads = reads.total() - before_batch
-    assert batch_reads <= sequential_reads

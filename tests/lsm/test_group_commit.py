@@ -1,8 +1,11 @@
 """WAL group appends and the engine-level commit-group path."""
 
+import pytest
+
+from repro.baselines.unsecured import UnsecuredLSMStore
 from repro.lsm.records import Record, tombstone
 from repro.lsm.wal import WriteAheadLog
-from tests.conftest import kv, make_p2_store
+from tests.conftest import TEST_SCALE, kv, make_p1_store, make_p2_store
 
 
 def rec(i):
@@ -115,3 +118,45 @@ def test_group_commit_cheaper_than_sequential_per_put():
     assert grouped_us * 3 < sequential_us
     ecalls = grouped.telemetry.metrics.counter("enclave.ecalls")
     assert ecalls.value(call="group_commit") == 1
+
+
+def _store(system):
+    if system == "p1":
+        return make_p1_store()
+    if system == "p2":
+        return make_p2_store()
+    return UnsecuredLSMStore(scale=TEST_SCALE)
+
+
+@pytest.mark.parametrize("system", ["p1", "p2", "plain"])
+def test_group_keeps_caller_order_of_puts_and_deletes(system):
+    store = _store(system)
+    store.group_commit(
+        [
+            ("put", b"a", b"1"),
+            ("delete", b"a"),  # put-then-delete: gone
+            ("delete", b"b"),
+            ("put", b"b", b"2"),  # delete-then-put: back
+            ("put", b"c", b"3"),
+            ("put", b"c", b"4"),  # last write wins
+        ]
+    )
+    assert store.get(b"a") is None
+    assert store.get(b"b") == b"2"
+    assert store.get(b"c") == b"4"
+
+
+@pytest.mark.parametrize("system", ["p1", "p2", "plain"])
+def test_unknown_op_kind_raises_and_writes_nothing(system):
+    store = _store(system)
+    store.put(b"k", b"v")
+    ts_before = store.current_ts
+    ecalls = store.telemetry.metrics.counter("enclave.ecalls")
+    ecalls_before = ecalls.total()
+    with pytest.raises(ValueError, match="unknown group-commit op"):
+        store.group_commit([("put", b"x", b"1"), ("upsert", b"y", b"2")])
+    assert store.current_ts == ts_before
+    assert ecalls.total() == ecalls_before
+    assert store.db.mem_records() == 1
+    assert store.db.last_ts == ts_before
+    assert store.get(b"x") is None
