@@ -24,6 +24,7 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.scale import ScaleConfig
+from repro.telemetry import Telemetry
 
 _NODE_SLOT = 4096
 _FILE = "mbt/nodes.dat"
@@ -73,8 +74,9 @@ class MerkleBTreeStore:
             raise ValueError("fanout must be >= 4")
         self.scale = scale or ScaleConfig()
         self.costs = costs
-        self.clock = clock or SimClock()
+        self.clock = clock = clock or SimClock()
         self.disk = disk or SimDisk(self.clock, costs, cache_bytes=self.scale.ram_bytes)
+        self.telemetry = Telemetry(clock=lambda: clock.now_us)
         self.fanout = fanout
         #: Durable mode fsyncs the node file after every update — the
         #: honest cost of an on-disk ADS whose digests must persist

@@ -34,17 +34,8 @@ from repro.ycsb.adversarial import (
     ATTACKS,
     make_adversary,
 )
-from repro.ycsb.runner import load_phase
-from repro.ycsb.workload import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_READ,
-    OP_RMW,
-    OP_SCAN,
-    OP_UPDATE,
-    WORKLOAD_A,
-    CoreWorkload,
-)
+from repro.ycsb.runner import issue, load_phase
+from repro.ycsb.workload import WORKLOAD_A, CoreWorkload
 
 #: Attacker operations issued per honest operation in the mixed runs.
 ATTACK_RATIO = 4
@@ -102,25 +93,6 @@ def _build_store(records: int, defended: bool):
     return store
 
 
-def _issue(store, workload, op, version: int) -> None:
-    key = workload.key(op.key_index)
-    if op.kind == OP_READ:
-        store.get(key)
-    elif op.kind == OP_UPDATE:
-        store.put(key, workload.value(op.key_index, version))
-    elif op.kind == OP_INSERT:
-        store.put(key, workload.value(op.key_index))
-    elif op.kind == OP_DELETE:
-        store.delete(key)
-    elif op.kind == OP_SCAN:
-        store.scan(key, workload.key(op.key_index + op.scan_length))
-    elif op.kind == OP_RMW:
-        store.get(key)
-        store.put(key, workload.value(op.key_index, version))
-    else:  # pragma: no cover - spec validation prevents this
-        raise ValueError(f"unknown op kind {op.kind}")
-
-
 class _Client:
     """One request stream with shed accounting.
 
@@ -153,8 +125,7 @@ class _Client:
         self._steps += 1
         op = self.workload.next_op()
         try:
-            _issue(self.store, self.workload, op, self._version)
-            self._version += 1
+            self._version = issue(self.store, self.workload, op, self._version)
             self.done += 1
         except AdmissionShedError as exc:
             self.shed += 1

@@ -24,7 +24,7 @@ from repro.core.store_p1 import ELSMP1Store
 from repro.core.store_p2 import ELSMP2Store
 from repro.sim.disk import SimDisk
 from repro.sim.scale import GB, MB, ScaleConfig
-from repro.ycsb.runner import RunResult, run_phase
+from repro.ycsb.runner import RunResult, load_phase, run_phase
 from repro.ycsb.workload import (
     DIST_LATEST,
     DIST_UNIFORM,
@@ -48,18 +48,8 @@ def bench_scale(factor: float | None = None) -> ScaleConfig:
 
 
 # ----------------------------------------------------------------------
-# Shared loading / measuring helpers
+# Shared measuring helpers
 # ----------------------------------------------------------------------
-def _fill(store, workload: CoreWorkload, start: int, end: int) -> None:
-    """Insert records [start, end) and warm the kernel cache."""
-    for index in range(start, end):
-        store.put(workload.key(index), workload.value(index))
-    if hasattr(store, "flush"):
-        store.flush()
-    if hasattr(store, "disk"):
-        store.disk.prefetch_all()
-
-
 def _measure(store, spec: WorkloadSpec, n_records: int, ops: int) -> RunResult:
     workload = CoreWorkload(spec, n_records, seed=1234)
     # Unmeasured warm-up absorbs cold caches and spreads compaction debt
@@ -113,8 +103,8 @@ def fig2_buffer_placement(ops: int = RUN_OPS) -> ExperimentResult:
 
     spec = read_only_workload(DIST_UNIFORM)
     workload = CoreWorkload(spec, n, seed=99)
-    _fill(outside, workload, 0, n)
-    _fill(inside, workload, 0, n)
+    load_phase(outside, workload)
+    load_phase(inside, workload)
 
     result = ExperimentResult(
         exp_id="fig2",
@@ -160,7 +150,7 @@ def fig5a_read_write_ratio(ops: int = RUN_OPS) -> ExperimentResult:
 
     loader = CoreWorkload(read_only_workload(DIST_UNIFORM), n, seed=7)
     for store in (p2, p1, plain):
-        _fill(store, loader, 0, n)
+        load_phase(store, loader)
 
     result = ExperimentResult(
         exp_id="fig5a",
@@ -218,8 +208,8 @@ def fig5b_data_size(ops: int = RUN_OPS) -> ExperimentResult:
     for size in sizes:
         n = scale.records_for(size)
         loader = CoreWorkload(read_only_workload(), n, seed=7)
-        _fill(p2, loader, loaded, n)
-        _fill(p1, loader, loaded, n)
+        load_phase(p2, loader, start=loaded)
+        load_phase(p1, loader, start=loaded)
         eleos_lat = None
         try:
             for index in range(loaded, n):
@@ -256,8 +246,8 @@ def fig5c_distributions(ops: int = RUN_OPS) -> ExperimentResult:
         name_prefix="f5c-p1",
     )
     loader = CoreWorkload(read_only_workload(), n, seed=7)
-    _fill(p2, loader, 0, n)
-    _fill(p1, loader, 0, n)
+    load_phase(p2, loader)
+    load_phase(p1, loader)
 
     result = ExperimentResult(
         exp_id="fig5c",
@@ -314,7 +304,7 @@ def fig6a_read_scaling(ops: int = RUN_OPS) -> ExperimentResult:
         n = scale.records_for(size)
         loader = CoreWorkload(spec, n, seed=7)
         for store in (p2, p1, plain):
-            _fill(store, loader, loaded, n)
+            load_phase(store, loader, start=loaded)
         eleos_ok = True
         try:
             for index in range(loaded, n):
@@ -360,8 +350,8 @@ def fig6b_mmap_vs_buffer(ops: int = RUN_OPS) -> ExperimentResult:
     for size in sizes:
         n = scale.records_for(size)
         loader = CoreWorkload(spec, n, seed=7)
-        _fill(mmap_store, loader, loaded, n)
-        _fill(buffer_store, loader, loaded, n)
+        load_phase(mmap_store, loader, start=loaded)
+        load_phase(buffer_store, loader, start=loaded)
         loaded = n
         mmap_lat = _mean(mmap_store, spec, n, ops)
         buf_lat = _mean(buffer_store, spec, n, ops)
@@ -386,8 +376,8 @@ def fig6c_buffer_size(ops: int = RUN_OPS) -> ExperimentResult:
     p1 = ELSMP1Store(scale=scale, name_prefix="f6c-p1")
     spec = read_only_workload(DIST_UNIFORM)
     loader = CoreWorkload(spec, n, seed=7)
-    _fill(p2, loader, 0, n)
-    _fill(p1, loader, 0, n)
+    load_phase(p2, loader)
+    load_phase(p1, loader)
 
     result = ExperimentResult(
         exp_id="fig6c",
@@ -436,8 +426,8 @@ def fig7a_write_compaction(ops: int = RUN_OPS) -> ExperimentResult:
     for size in sizes:
         n = scale.records_for(size)
         loader = CoreWorkload(spec, n, seed=7)
-        _fill(p2, loader, loaded, n)
-        _fill(p1, loader, loaded, n)
+        load_phase(p2, loader, start=loaded)
+        load_phase(p1, loader, start=loaded)
         eleos_ok = True
         try:
             for index in range(loaded, n):
@@ -485,7 +475,7 @@ def fig7b_compaction_onoff(ops: int = RUN_OPS) -> ExperimentResult:
         n = scale.records_for(size)
         loader = CoreWorkload(spec, n, seed=7)
         for store in stores.values():
-            _fill(store, loader, loaded, n)
+            load_phase(store, loader, start=loaded)
         loaded = n
         lats = {name: _mean(store, spec, n, ops) for name, store in stores.items()}
         ratio = (
@@ -506,6 +496,7 @@ class _OutsideEnclaveWriter:
 
         self.inner = inner
         self.clock = inner.clock
+        self.telemetry = inner.telemetry
         self.boundary = WorldBoundary(inner.clock, inner.costs, inner.telemetry)
 
     def put(self, key: bytes, value: bytes) -> int:
@@ -561,8 +552,8 @@ def fig8_write_buffer(ops: int = RUN_OPS) -> ExperimentResult:
             )
         )
         loader = CoreWorkload(spec, n_seed, seed=7)
-        _fill(inside, loader, 0, n_seed)
-        _fill(outside, loader, 0, n_seed)
+        load_phase(inside, loader)
+        load_phase(outside, loader)
         in_lat = _mean(inside, spec, n_seed, ops)
         out_lat = _mean(outside, spec, n_seed, ops)
         result.add_row(
@@ -605,7 +596,7 @@ def update_in_place_baseline(ops: int = RUN_OPS) -> ExperimentResult:
             name_prefix=f"uip-p2-{medium}",
         )
         mbt = MerkleBTreeStore(scale=scale, costs=costs)
-        _fill(p2, loader, 0, n)
+        load_phase(p2, loader)
         for index in range(n):
             mbt.put(loader.key(index), loader.value(index))
         for op_name, spec in (
@@ -702,7 +693,7 @@ def ablation_early_stop(ops: int = RUN_OPS) -> ExperimentResult:
     }
     loader = CoreWorkload(read_only_workload(), n, seed=7)
     for store in stores.values():
-        _fill(store, loader, 0, n)
+        load_phase(store, loader)
         store.compact_all()  # originals settle in one deep level
         # Freeze level 1 so the new versions STAY shallow: the early-stop
         # rule only matters when a key exists at several levels.
@@ -739,8 +730,8 @@ def ablation_embedded_proofs(ops: int | None = None) -> ExperimentResult:
     embedded = ELSMP2Store(scale=scale, proof_mode="embedded", name_prefix="ab-em")
     on_demand = ELSMP2Store(scale=scale, proof_mode="on_demand", name_prefix="ab-od")
     loader = CoreWorkload(read_only_workload(), n, seed=7)
-    _fill(embedded, loader, 0, n)
-    _fill(on_demand, loader, 0, n)
+    load_phase(embedded, loader)
+    load_phase(on_demand, loader)
 
     spec = read_only_workload(DIST_UNIFORM)
     result = ExperimentResult(
@@ -786,6 +777,6 @@ def ablation_counter_buffer(ops: int = RUN_OPS) -> ExperimentResult:
             name_prefix=f"ab-cb{buffer_ops}",
         )
         loader = CoreWorkload(spec, n, seed=7)
-        _fill(store, loader, 0, n)
+        load_phase(store, loader)
         result.add_row(buffer_ops, _mean(store, spec, n, ops))
     return result

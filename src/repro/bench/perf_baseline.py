@@ -22,8 +22,6 @@ from repro.ycsb.distributions import ScrambledZipfianGenerator
 #: The batch must beat N sequential verified GETs by at least this much.
 MIN_US_SAVED_PCT = 30.0
 MIN_PROOF_BYTES_SAVED_PCT = 25.0
-#: Allowed simulated-clock slowdown vs the committed baseline.
-DEFAULT_TOLERANCE = 0.15
 
 PROFILES = {
     "default": {"records": 5000, "distinct_keys": 1500, "batch_size": 1000},
@@ -142,14 +140,13 @@ def write_baseline(path: str, result: dict) -> None:
         fh.write("\n")
 
 
-def regression_problems(
-    path: str, result: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
+def regression_problems(path: str, result: dict) -> list[str]:
     """Compare a fresh result against the committed baseline at ``path``.
 
-    Fails on a simulated-clock regression beyond ``tolerance`` (the
-    clock is deterministic, so any drift is a real code change, not
-    noise) and on any loss of result equivalence.
+    The simulated clock is deterministic, so every field of the
+    committed row must come back exactly: any difference is a real code
+    change, which needs a re-baseline (``--out`` plus a ``--history``
+    record).  The standing acceptance bars apply too.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -157,12 +154,13 @@ def regression_problems(
     if committed is None:
         return [f"baseline {path} has no {result['profile']!r} profile"]
     problems = acceptance_problems(result)
-    allowed = committed["batch_us"] * (1.0 + tolerance)
-    if result["batch_us"] > allowed:
-        problems.append(
-            f"batch_us {result['batch_us']} exceeds committed "
-            f"{committed['batch_us']} by more than {tolerance:.0%}"
-        )
+    fresh = json.loads(json.dumps(result))  # the row as --out writes it
+    for name in sorted(set(committed) | set(fresh)):
+        if fresh.get(name) != committed.get(name):
+            problems.append(
+                f"{name} {fresh.get(name)!r} differs from committed "
+                f"{committed.get(name)!r}"
+            )
     return problems
 
 

@@ -404,18 +404,14 @@ def cmd_perf_baseline(args) -> int:
     print(format_result(result))
     problems = acceptance_problems(result)
     if args.check:
-        problems = regression_problems(
-            args.check, result, tolerance=args.tolerance
-        )
+        problems = regression_problems(args.check, result)
     results = [result]
     if gc_result is not None:
         from repro.bench import group_commit as gc_bench
 
         print(gc_bench.format_result(gc_result))
         if args.check:
-            problems.extend(regression_problems(
-                args.check, gc_result, tolerance=args.tolerance
-            ))
+            problems.extend(regression_problems(args.check, gc_result))
         else:
             problems.extend(gc_bench.acceptance_problems(gc_result))
         results.append(gc_result)
@@ -859,9 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "immutable-MemTable queue")
     ycsb.add_argument("--group-max-delay-us", type=float, default=None,
                       metavar="US",
-                      help="with --group-commit: force the pending group "
-                           "out once its oldest write has waited this much "
-                           "simulated time")
+                      help="with --group-commit: a write that finds the "
+                           "oldest queued write has waited this much "
+                           "simulated time joins the group, which is then "
+                           "submitted")
     ycsb.add_argument("--json-out", default=None, metavar="PATH",
                       help="write a structured run summary (latencies, "
                            "proof bytes, boundary crossings) as JSON")
@@ -887,10 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--out", default=None, metavar="PATH",
                       help="write/merge this profile into a baseline file")
     perf.add_argument("--check", default=None, metavar="PATH",
-                      help="fail on regression against a committed baseline")
-    perf.add_argument("--tolerance", type=float, default=0.15,
-                      help="allowed simulated-clock slowdown vs the "
-                           "committed baseline (default 0.15)")
+                      help="fail unless every field of the committed "
+                           "row comes back exactly")
     perf.add_argument("--history", default=None, metavar="PATH",
                       help="append this run as one timestamped record to a "
                            "JSONL trajectory file (BENCH_history.jsonl)")

@@ -12,7 +12,8 @@ amortised across the group; durability is all-or-nothing per group
 (acknowledged at :meth:`flush` return, never earlier).
 
 Callers that need read-your-writes must :meth:`flush` before reading —
-the YCSB runner does exactly that before every READ/SCAN.
+the YCSB runner (:func:`repro.ycsb.runner.run_phase`) sends its writes
+through this queue and flushes it before every READ/SCAN/RMW.
 """
 
 from __future__ import annotations

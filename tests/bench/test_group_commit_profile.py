@@ -43,6 +43,7 @@ def test_acceptance_rejects_slow_or_divergent_results():
 
 
 def test_regression_gate_compares_batch_us_to_committed_row(tmp_path):
+    """The simulated clock is deterministic: the gate is exact equality."""
     import json
 
     row = {
@@ -57,12 +58,16 @@ def test_regression_gate_compares_batch_us_to_committed_row(tmp_path):
         json.dumps({"schema": 1, "profiles": {"group-commit": row}})
     )
     current = dict(row)
-    current["batch_us"] = 1100.0  # within the 15% tolerance
-    assert regression_problems(str(baseline), current, tolerance=0.15) == []
-    current["batch_us"] = 1200.0  # 20% slower: gate trips
-    problems = regression_problems(str(baseline), current, tolerance=0.15)
-    assert problems and any("exceeds committed" in p for p in problems)
+    assert regression_problems(str(baseline), current) == []
+    current["batch_us"] = 1000.1  # a 0.1 us drift is a real code change
+    problems = regression_problems(str(baseline), current)
+    assert problems == ["batch_us 1000.1 differs from committed 1000.0"]
+    # Every field counts, not just batch_us — including a faster one.
+    current = dict(row, batch_us=999.9, groups_submitted=32)
+    problems = regression_problems(str(baseline), current)
+    assert len(problems) == 2
+    assert any(p.startswith("groups_submitted 32") for p in problems)
     # A baseline missing the profile row is itself a failure.
     empty = tmp_path / "EMPTY.json"
     empty.write_text(json.dumps({"schema": 1, "profiles": {}}))
-    assert regression_problems(str(empty), current, tolerance=0.15)
+    assert regression_problems(str(empty), current)
